@@ -128,6 +128,11 @@ def frame_partials(G, p):
 _SYMBOLIC_FRAMES = {}
 
 
+def _group_key(G):
+    """Cache key of a group by content: equal groups share it, others never."""
+    return G.layer_dims, G.structure.tobytes()
+
+
 def _symbolic_bracket(G, u, v):
     N = G.total_dim
     out = [sympy.Integer(0)] * N
@@ -139,7 +144,7 @@ def _symbolic_bracket(G, u, v):
 
 def symbolic_frame(G):
     """Layer-1 frame rows as sympy polynomials in x1..xN; cached."""
-    key = id(G)
+    key = _group_key(G)
     if key not in _SYMBOLIC_FRAMES:
         xs = list(coordinate_symbols(G.total_dim)[:-1])
         rows = []
@@ -198,7 +203,7 @@ def _symbolic_hessian_fn(G, f):
     if cache is None:
         cache = {}
         f._hhess_cache = cache
-    key = id(G)
+    key = _group_key(G)
     if key not in cache:
         xs, rows = symbolic_frame(G)
         subs = dict(zip(xs, f._symbols[: G.total_dim]))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,8 +23,6 @@ from .fields import ScalarField
 from .grid import GridSpec
 from .groups import GroupSpecError, group_preset, make_group
 from .solver import CauchyDirichletProblem, SolverConfig, SolverError, solve_parabolic
-
-THREADS_ENV = "CARNOTPDE_THREADS"
 
 
 class ConfigError(ValueError):
@@ -191,17 +188,6 @@ def list_experiments():
     return "\n".join(sorted(EXPERIMENTS))
 
 
-def _apply_thread_limit():
-    raw = os.environ.get(THREADS_ENV)
-    if not raw:
-        return
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(int(raw))
-    except (ImportError, ValueError):
-        pass
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="carnotpde",
@@ -221,7 +207,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    _apply_thread_limit()
     if args.command == "list":
         print(list_experiments())
         return 0

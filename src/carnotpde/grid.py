@@ -1,16 +1,19 @@
-"""Axis-aligned coordinate boxes, sampled grid functions and flow stencils.
+"""Axis-aligned coordinate boxes, sampled grid functions and the flow-stencil
+operator.
 
-A flow stencil records, for every interior node, where a fixed group-flow
-move lands and how to read that value back by multilinear interpolation
-(convex weights only).  Targets that leave the box are clamped coordinate-
-wise to the boundary and evaluated from the lateral datum instead.
+The stencil operator records, for every interior node and every flow
+direction, where that group-flow move lands and how to read the value there
+back by multilinear interpolation (convex weights only), all as one sparse
+matrix.  Targets that leave the box are clamped coordinate-wise to the
+boundary and evaluated from the lateral datum instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 
 @dataclass(frozen=True)
@@ -106,101 +109,88 @@ def classify_nodes(grid, t):
     return np.where(boundary, "parabolic_boundary", "interior")
 
 
-@dataclass
-class FlowStencil:
-    """Interpolation data for one flow move applied at a fixed node set."""
+class StencilOperator:
+    """Every flow stencil over one node set, held as one CSR matrix.
 
-    corner_index: np.ndarray      # (K, 2^N) int32 flat node indices
-    weights: np.ndarray           # (K, 2^N) convex weights
-    outside_rows: np.ndarray      # (Ko,) rows whose target left the box
-    clamped: np.ndarray           # (Ko, N) boundary points for datum lookup
+    Row d*K + k reads direction d's target from interior node k: the convex
+    multilinear weights of the corners of its cell, exact zeros dropped,
+    int32 indices.  A row whose target leaves the box stores nothing; its
+    value is the lateral datum at the target clamped to the box, taken from
+    a datum vector with one entry per such row (``outside``, ascending).
+    """
 
-    def evaluate(self, values, boundary_values=None):
-        out = np.einsum("kc,kc->k", self.weights, values[self.corner_index])
-        if self.outside_rows.size:
-            if boundary_values is None:
+    def __init__(self, matrix, n_directions, outside, clamped):
+        self.matrix = matrix
+        self.n_directions = n_directions
+        self.outside = outside
+        self.clamped = clamped
+
+    def datum(self, g, t=0.0):
+        """The datum vector: g at every clamped off-box target."""
+        if not self.outside.size:
+            return np.empty(0)
+        return np.broadcast_to(np.asarray(g(self.clamped, t), dtype=float),
+                               self.outside.shape)
+
+    def apply(self, values, datum=None):
+        """Values at every flow target, shape (D, K)."""
+        out = self.matrix @ values
+        if self.outside.size:
+            if datum is None:
                 raise ValueError("stencil leaves the box but no datum was given")
-            out[self.outside_rows] = boundary_values
-        return out
+            out[self.outside] = datum
+        return out.reshape(self.n_directions, -1)
+
+    def directions(self, start, stop):
+        """The operator of directions start..stop-1 alone, and the slice of
+        this operator's datum vector that it reads."""
+        if (start, stop) == (0, self.n_directions):
+            return self, slice(None)
+        K = self.matrix.shape[0] // self.n_directions
+        lo, hi = np.searchsorted(self.outside, (start * K, stop * K))
+        sub = StencilOperator(self.matrix[start * K:stop * K], stop - start,
+                              self.outside[lo:hi] - start * K, self.clamped[lo:hi])
+        return sub, slice(lo, hi)
 
 
-def build_stencil(grid, targets):
-    """Multilinear stencil for arbitrary target coordinates, shape (K, N)."""
-    targets = np.asarray(targets, dtype=float)
-    K, N = targets.shape
+def build_stencil(grid, target_list):
+    """The StencilOperator of a sequence of (K, N) target arrays, one per
+    direction, built one direction at a time."""
     lo = np.array([a for a, _ in grid.box])
     hi = np.array([b for _, b in grid.box])
     tol = 1e-10 * (hi - lo)
-    inside = np.all((targets >= lo - tol) & (targets <= hi + tol), axis=1)
-    clipped = np.clip(targets, lo, hi)
-
-    spac = grid.spacings
-    pos = (clipped - lo) / spac
-    cell = np.clip(np.floor(pos).astype(np.int64), 0, np.array(grid.cells) - 1)
-    frac = pos - cell
-
-    shape = grid.shape
+    N = grid.ndim
     strides = np.ones(N, dtype=np.int64)
     for axis in range(N - 2, -1, -1):
-        strides[axis] = strides[axis + 1] * shape[axis + 1]
+        strides[axis] = strides[axis + 1] * grid.shape[axis + 1]
+    bits = (np.arange(2 ** N)[:, None] >> np.arange(N - 1, -1, -1)) & 1
 
-    corners = np.empty((K, 2 ** N), dtype=np.int64)
-    weights = np.empty((K, 2 ** N))
-    for c in range(2 ** N):
-        bits = np.array([(c >> (N - 1 - axis)) & 1 for axis in range(N)])
-        idx = cell + bits
-        corners[:, c] = idx @ strides
-        w = np.where(bits == 1, frac, 1.0 - frac)
-        weights[:, c] = np.prod(w, axis=1)
+    data, indices, counts, outside, clamped = [], [], [], [], []
+    rows = 0
+    for targets in target_list:
+        targets = np.asarray(targets, dtype=float)
+        inside = np.all((targets >= lo - tol) & (targets <= hi + tol), axis=1)
+        clipped = np.clip(targets, lo, hi)
+        pos = (clipped - lo) / grid.spacings
+        cell = np.clip(np.floor(pos).astype(np.int64), 0, np.array(grid.cells) - 1)
+        frac = np.minimum(pos - cell, 1.0)      # pos can round past the upper face
+        corners = np.empty((len(targets), 2 ** N), dtype=np.int64)
+        weights = np.empty((len(targets), 2 ** N))
+        for c in range(2 ** N):
+            corners[:, c] = (cell + bits[c]) @ strides
+            weights[:, c] = np.prod(np.where(bits[c] == 1, frac, 1.0 - frac), axis=1)
+        keep = (weights != 0.0) & inside[:, None]
+        data.append(weights[keep])
+        indices.append(corners[keep].astype(np.int32))
+        counts.append(keep.sum(axis=1))
+        outside.append(rows + np.nonzero(~inside)[0])
+        clamped.append(clipped[~inside])
+        rows += len(targets)
 
-    outside_rows = np.nonzero(~inside)[0]
-    return FlowStencil(
-        corner_index=corners,
-        weights=weights,
-        outside_rows=outside_rows,
-        clamped=clipped[outside_rows],
-    )
-
-
-@dataclass
-class StencilBank:
-    """A batch of flow stencils over the same node set, evaluated together."""
-
-    corner_index: np.ndarray      # (D, K, 2^N)
-    weights: np.ndarray           # (D, K, 2^N)
-    outside: list                 # per direction: (rows, clamped coords)
-
-    @classmethod
-    def from_targets(cls, grid, target_list):
-        stencils = [build_stencil(grid, t) for t in target_list]
-        return cls(
-            corner_index=np.stack([s.corner_index for s in stencils]),
-            weights=np.stack([s.weights for s in stencils]),
-            outside=[(s.outside_rows, s.clamped) for s in stencils],
-        )
-
-    @property
-    def n_directions(self):
-        return self.corner_index.shape[0]
-
-    def evaluate(self, values, datum=None, t=0.0, datum_cache=None):
-        """Values at every flow target, shape (D, K).
-
-        Off-box targets read the lateral datum; ``datum_cache`` may hold
-        precomputed datum values (used when the datum is time-independent).
-        """
-        out = np.einsum("dkc,dkc->dk", self.weights, values[self.corner_index])
-        for d, (rows, clamped) in enumerate(self.outside):
-            if rows.size == 0:
-                continue
-            if datum_cache is not None:
-                out[d, rows] = datum_cache[d]
-            elif datum is not None:
-                out[d, rows] = datum(clamped, t)
-            else:
-                raise ValueError("stencil leaves the box but no datum was given")
-        return out
-
-    def datum_cache(self, datum, t=0.0):
-        return [datum(clamped, t) if rows.size else None
-                for rows, clamped in self.outside]
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    indptr = indptr.astype(np.int32 if indptr[-1] < 2 ** 31 else np.int64)
+    matrix = scipy.sparse.csr_array(
+        (np.concatenate(data), np.concatenate(indices), indptr),
+        shape=(rows, grid.node_count))
+    return StencilOperator(matrix, len(counts), np.concatenate(outside),
+                           np.concatenate(clamped))

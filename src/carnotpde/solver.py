@@ -12,6 +12,12 @@ fixed antipodal direction set and s is the gradient-dependent speed
 for h = 1).  With the CFL step bound the update is a convex combination of
 stencil values, which gives the discrete comparison principle and the
 discrete maximum principle exactly.
+
+All flow values of a step come from one apply of the scheme's stencil
+operator (``grid.StencilOperator``).  Its first D rows are the direction set
+and its last 2 n1 rows the +-e_i of the central-difference gradient, shared
+with the set where it holds them and appended after it where it does not.
+The CFL step applies the gradient rows alone.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 import sympy
 
 from . import groups
-from .grid import GridFunction, GridSpec, StencilBank, build_stencil
+from .grid import GridFunction, GridSpec, build_stencil
 
 
 class SolverError(RuntimeError):
@@ -75,7 +81,10 @@ def direction_set(n1, samples):
         return np.array([[1.0], [-1.0]])
     if n1 == 2:
         angles = 2.0 * np.pi * np.arange(samples) / samples
-        return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        # snap round-off (cos(pi/2) = 6e-17) so quadrant directions are exact
+        snapped = np.round(dirs) + 0.0
+        return np.where(np.abs(dirs - snapped) < 1e-12, snapped, dirs)
     dirs = []
     for i in range(n1):
         for s in (1.0, -1.0):
@@ -93,6 +102,15 @@ def direction_set(n1, samples):
     return np.array(dirs)
 
 
+def _row_norms(a):
+    """Euclidean norm of each row, summed column by column: the sums of
+    np.linalg.norm(a, axis=1) below 8 columns, without its slow short reduce."""
+    sq = a[:, 0] * a[:, 0]
+    for i in range(1, a.shape[1]):
+        sq += a[:, i] * a[:, i]
+    return np.sqrt(sq)
+
+
 def _time_independent(fieldlike):
     expr = getattr(fieldlike, "expr", None)
     if expr is None:
@@ -101,7 +119,7 @@ def _time_independent(fieldlike):
 
 
 class Scheme:
-    """Precomputed stencils and vectorized update machinery for one problem."""
+    """One problem's stencil operator and the vectorized update machinery."""
 
     def __init__(self, problem, config=None, node_subset=None):
         self.problem = problem
@@ -129,43 +147,42 @@ class Scheme:
             move = groups.embed_horizontal(G, self.delta * direction)
             return groups.multiply(G, self.coords_interior, move)
 
-        grad_dirs = []
-        for i in range(n1):
-            for s in (1.0, -1.0):
-                v = np.zeros(n1)
-                v[i] = s
-                grad_dirs.append(v)
-        self.grad_bank = StencilBank.from_targets(
-            grid, [flow_targets(d) for d in grad_dirs])
-        self.directions = direction_set(n1, self.config.direction_samples)
-        self.kappa_bank = StencilBank.from_targets(
-            grid, [flow_targets(d) for d in self.directions])
-
+        kappa = direction_set(n1, self.config.direction_samples)
+        axes = np.eye(n1).repeat(2, axis=0) * np.resize([1.0, -1.0], (2 * n1, 1))
+        is_axis = (kappa[:, None, :] == axes[None]).all(axis=2).any(axis=1)
+        # Operator rows: the directions other than +-e_i, then +e1, -e1, +e2,
+        # ... in that order.  The +-e_i a direction set holds lead that order,
+        # so max + min reads the first D rows and the gradient the last 2 n1.
+        self.directions = np.concatenate([kappa[~is_axis], axes])
+        self.n_kappa = len(kappa)
+        self._grad_start = len(kappa) - int(is_axis.sum())
+        self.operator = build_stencil(grid, (flow_targets(d) for d in self.directions))
+        self._grad_operator, self._grad_datum = self.operator.directions(
+            self._grad_start, len(self.directions))
         self._g_static = _time_independent(problem.g)
-        self._static_caches = None
-        if self._g_static:
-            self._static_caches = (
-                self.grad_bank.datum_cache(problem.g, 0.0),
-                self.kappa_bank.datum_cache(problem.g, 0.0),
-            )
+        self._datum_t, self._datum = 0.0, self.operator.datum(problem.g, 0.0)
 
     # -- stencil evaluation -------------------------------------------
 
-    def _bank_values(self, bank, values, t, which):
-        if self._g_static:
-            cache = self._static_caches[which]
-        else:
-            cache = bank.datum_cache(self.problem.g, t)
-        return bank.evaluate(values, datum_cache=cache), cache
+    def datum(self, t):
+        """The operator's datum vector at time t: evaluated once when g does
+        not depend on t, once per time level otherwise."""
+        if not self._g_static and t != self._datum_t:
+            self._datum_t, self._datum = t, self.operator.datum(self.problem.g, t)
+        return self._datum
+
+    def _gradient(self, W):
+        """Central differences from the 2 n1 gradient rows W; shape (Ki, n1)."""
+        out = np.empty((W.shape[1], len(W) // 2))
+        for i in range(out.shape[1]):
+            out[:, i] = (W[2 * i] - W[2 * i + 1]) / (2.0 * self.delta)
+        return out
 
     def discrete_gradient(self, values, t):
-        """Central flow differences along the layer-1 axes; shape (Ki, n1)."""
-        W, cache = self._bank_values(self.grad_bank, values, t, 0)
-        n1 = self.problem.group.horizontal_dim
-        out = np.empty((W.shape[1], n1))
-        for i in range(n1):
-            out[:, i] = (W[2 * i] - W[2 * i + 1]) / (2.0 * self.delta)
-        return out, cache
+        """Central flow differences along the layer-1 axes; shape (Ki, n1).
+        Applies only the operator's gradient rows."""
+        W = self._grad_operator.apply(values, self.datum(t)[self._grad_datum])
+        return self._gradient(W)
 
     def speed(self, grad_norm):
         h = self.problem.h
@@ -173,32 +190,34 @@ class Scheme:
             return np.ones_like(grad_norm)
         return np.where(grad_norm > self.eps_g, grad_norm ** (h - 1.0), 0.0)
 
-    def kappa(self, values, t):
-        """Median curvature (max + min of flow neighbors - 2u) / delta^2."""
-        W, cache = self._bank_values(self.kappa_bank, values, t, 1)
+    def kappa(self, values, W):
+        """Median curvature (max + min of flow neighbors - 2u) / delta^2, from
+        the operator's values ``W`` at ``values``."""
+        W = W[:self.n_kappa]
         u = values[self.interior_flat]
-        out = (W.max(axis=0) + W.min(axis=0) - 2.0 * u) / self.delta ** 2
-        return out, cache
+        return (W.max(axis=0) + W.min(axis=0) - 2.0 * u) / self.delta ** 2
 
     def discrete_operator(self, values, t):
-        grad, gc = self.discrete_gradient(values, t)
-        s = self.speed(np.linalg.norm(grad, axis=1))
-        kap, kc = self.kappa(values, t)
-        return s * kap, (gc, kc)
+        """Speed times median curvature, from one apply of the operator."""
+        datum = self.datum(t)
+        W = self.operator.apply(values, datum)
+        s = self.speed(_row_norms(self._gradient(W[self._grad_start:])))
+        return s * self.kappa(values, W), datum
 
     def cfl_dt(self, values, t):
         """Step size certifying a nonnegative own-node coefficient."""
         h = self.problem.h
         cap = 1.0
         if h > 1.0:
-            grad, _ = self.discrete_gradient(values, t)
-            gmax = float(np.linalg.norm(grad, axis=1).max())
+            grad = self.discrete_gradient(values, t)
+            gmax = float(_row_norms(grad).max())
             cap = max(1.0, gmax ** (h - 1.0))
         return self.config.cfl_factor * self.delta ** 2 / (2.0 * cap)
 
     def step(self, values, t, dt):
-        """One explicit Euler step; returns (new values, new time)."""
-        op, caches = self.discrete_operator(values, t)
+        """One explicit Euler step; returns (new values, new time, the datum
+        vector its off-box stencil rows read)."""
+        op, datum = self.discrete_operator(values, t)
         new = values.copy()
         new[self.interior_flat] += dt * op
         t_new = t + dt
@@ -208,7 +227,7 @@ class Scheme:
             raise SolverError(
                 f"non-finite value at node {bad} after t={t_new:.6g}; "
                 f"check the CFL step restriction")
-        return new, t_new, caches
+        return new, t_new, datum
 
 
 @dataclass
@@ -223,14 +242,6 @@ class SolveResult:
     @property
     def final(self):
         return self.snapshots[-1]
-
-
-def _cache_bounds(cache):
-    vals = [c for c in cache if c is not None and len(c)]
-    if not vals:
-        return np.inf, -np.inf
-    flat = np.concatenate([np.atleast_1d(v) for v in vals])
-    return float(flat.min()), float(flat.max())
 
 
 def solve_parabolic(problem, config=None, snapshot_times=None, scheme=None):
@@ -265,14 +276,11 @@ def solve_parabolic(problem, config=None, snapshot_times=None, scheme=None):
         target = pending[0]
         dt = config.dt if config.dt is not None else scheme.cfl_dt(values, t)
         dt = min(dt, target - t)
-        values, t, caches = scheme.step(values, t, dt)
-        lat = values[scheme.lateral]
-        lo = min(float(lat.min()) if lat.size else np.inf,
-                 min(_cache_bounds(caches[0])[0], _cache_bounds(caches[1])[0]))
-        hi = max(float(lat.max()) if lat.size else -np.inf,
-                 max(_cache_bounds(caches[0])[1], _cache_bounds(caches[1])[1]))
-        data_min = min(data_min, lo)
-        data_max = max(data_max, hi)
+        values, t, datum = scheme.step(values, t, dt)
+        for seen in (values[scheme.lateral], datum):   # every datum value read
+            if seen.size:
+                data_min = min(data_min, float(seen.min()))
+                data_max = max(data_max, float(seen.max()))
         steps += 1
         if steps > config.max_steps:
             raise SolverError(f"exceeded max_steps={config.max_steps}")
@@ -309,7 +317,7 @@ def solve_to_steady(problem, config=None, rate_tol=None, check_every=25,
         for _ in range(check_every):
             if config.dt is None:
                 dt = scheme.cfl_dt(values, t)
-            values, t, caches = scheme.step(values, t, dt)
+            values, t, _ = scheme.step(values, t, dt)
             lat = values[scheme.lateral]
             if lat.size:
                 data_min = min(data_min, float(lat.min()))
@@ -334,7 +342,7 @@ def solve_elliptic_steady(problem, config=None, scheme=None):
     values = np.asarray(problem.g(scheme.coords, 0.0), dtype=float).copy()
     values[scheme.lateral] = problem.g(scheme.coords_lateral, 0.0)
     for sweep in range(config.max_steps):
-        W, _ = scheme._bank_values(scheme.kappa_bank, values, 0.0, 1)
+        W = scheme.operator.apply(values, scheme.datum(0.0))[:scheme.n_kappa]
         new = values.copy()
         new[scheme.interior_flat] = 0.5 * (W.max(axis=0) + W.min(axis=0))
         change = float(np.abs(new - values).max())
@@ -357,7 +365,7 @@ def _flat_index(grid, node):
 def discrete_gradient(problem, u, node, config=None):
     """Horizontal central-difference gradient at one node."""
     scheme = Scheme(problem, config)
-    grad, _ = scheme.discrete_gradient(u.values, u.time_level)
+    grad = scheme.discrete_gradient(u.values, u.time_level)
     flat = _flat_index(problem.grid, node)
     pos = np.nonzero(scheme.interior_flat == flat)[0]
     if pos.size == 0:
@@ -372,13 +380,10 @@ def directional_second_difference(problem, u, node, eta):
     flat = _flat_index(grid, node)
     p = grid.coords()[flat][None, :]
     eta = np.asarray(eta, dtype=float)
-    vals = []
-    for s in (1.0, -1.0):
-        target = groups.multiply(G, p, groups.embed_horizontal(G, s * delta * eta))
-        st = build_stencil(grid, target)
-        datum = problem.g(st.clamped, u.time_level) if st.outside_rows.size else None
-        vals.append(float(st.evaluate(u.values, datum)[0]))
-    return (vals[0] - 2.0 * u.values[flat] + vals[1]) / delta ** 2
+    moves = [groups.embed_horizontal(G, s * delta * eta) for s in (1.0, -1.0)]
+    op = build_stencil(grid, [groups.multiply(G, p, move) for move in moves])
+    W = op.apply(u.values, op.datum(problem.g, u.time_level))[:, 0]
+    return float((W[0] - 2.0 * u.values[flat] + W[1]) / delta ** 2)
 
 
 def discrete_operator(problem, config, u, node):

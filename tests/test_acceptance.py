@@ -35,7 +35,6 @@ from carnotpde.solver import (
     CauchyDirichletProblem,
     Scheme,
     SolverConfig,
-    _cache_bounds,
     solve_elliptic_steady,
     solve_to_steady,
 )
@@ -66,8 +65,7 @@ def _rebind(scheme, problem):
     s = copy.copy(scheme)
     s.problem = problem
     s._g_static = True
-    s._static_caches = (s.grad_bank.datum_cache(problem.g, 0.0),
-                        s.kappa_bank.datum_cache(problem.g, 0.0))
+    s._datum = s.operator.datum(problem.g, 0.0)
     return s
 
 
@@ -100,10 +98,9 @@ def ordered_pair_runs():
             u = np.asarray(u0(base.coords, 0.0), dtype=float).copy()
             v = u + offset
             sup_data = float(max(np.abs(u).max(), np.abs(v).max()))
-            for cache in su._static_caches + sv._static_caches:
-                lo, hi = _cache_bounds(cache)
-                if np.isfinite(lo):
-                    sup_data = max(sup_data, abs(lo), abs(hi))
+            for datum in (su.datum(0.0), sv.datum(0.0)):
+                if datum.size:
+                    sup_data = max(sup_data, float(np.abs(datum).max()))
             t = 0.0
             worst_order = float((u - v).max())
             sol_gap = float(np.abs(u - v).max())

@@ -230,3 +230,23 @@ def test_doubling_penalty_positive_definite_in_the_group_sense(G):
     assert (vals >= 0.0).all()
     assert (vals[np.abs(p - q).max(axis=1) > 1e-3] > 0).all()
     assert np.abs(doubling_penalty(G, spec, p, p)).max() <= 1e-14
+
+
+def test_symbolic_caches_are_keyed_by_group_content():
+    calculus._SYMBOLIC_FRAMES.clear()
+    f = ScalarField.from_expression("x1*x2 + x3*x3", 3)
+    p = np.array([[0.3, -0.2, 0.5]])
+    for _ in range(500):
+        G = heisenberg_group()
+        calculus.symbolic_frame(G)
+        heis = symmetrized_hessian(G, f, p)
+    assert len(calculus._SYMBOLIC_FRAMES) == 1
+    assert len(f._hhess_cache) == 1
+    # same layer dimensions, different brackets: a separate entry each
+    others = [euclidean_group(3), groups.make_group((2, 1), [(0, 1, 2, 2.0)])]
+    for k, G in enumerate(others, start=2):
+        calculus.symbolic_frame(G)
+        other = symmetrized_hessian(G, f, p)
+        assert len(calculus._SYMBOLIC_FRAMES) == k
+        assert len(f._hhess_cache) == k
+        assert other.shape != heis.shape or not np.allclose(other, heis)

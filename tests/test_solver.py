@@ -16,6 +16,7 @@ from carnotpde.solver import (
     Scheme,
     SolverConfig,
     SolverError,
+    _row_norms,
     cfl_dt,
     direction_set,
     directional_second_difference,
@@ -78,6 +79,26 @@ def test_direction_sets():
     d3 = direction_set(3, 16)
     assert d3.shape == (6 + 12, 3)
     assert np.allclose(np.linalg.norm(d3, axis=1), 1.0)
+    # with samples % 4 == 0 the quadrant directions are exact axis vectors,
+    # so the gradient's +-e_i rows are rows of the kappa stencils
+    d16 = direction_set(2, 16)
+    for axis in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]):
+        assert (d16 == axis).all(axis=1).any()
+    # the Scheme puts the +-e_i after the other directions in the order
+    # +e1, -e1, +e2, ...: the ones a set holds must lead that order
+    for n1, samples in [(1, 4), (3, 4)] + [(2, s) for s in range(4, 40)]:
+        axes = np.kron(np.eye(n1), [[1.0], [-1.0]])
+        held = [(direction_set(n1, samples) == a).all(axis=1).any() for a in axes]
+        assert held == sorted(held, reverse=True)
+
+
+def test_row_norms_match_numpy_norm():
+    # the column-by-column sums must reproduce np.linalg.norm bit for bit
+    # for every horizontal dimension the presets and small custom groups use
+    rng = np.random.default_rng(3)
+    for n1 in range(1, 8):
+        a = rng.normal(size=(500, n1)) * rng.uniform(0.0, 10.0, (500, 1))
+        assert np.array_equal(_row_norms(a), np.linalg.norm(a, axis=1))
 
 
 # -- node-wise oracles -----------------------------------------------
@@ -97,8 +118,12 @@ def test_discrete_gradient_vertical_coordinate_on_heisenberg():
     node = (4, 4, 4)
     assert np.allclose(prob.grid.coords()[np.ravel_multi_index(node, prob.grid.shape)],
                        [2.0, 4.0, 0.0])
-    grad = discrete_gradient(prob, sample(prob), node)
-    assert np.allclose(grad, [-2.0, 1.0], atol=1e-10)
+    # 16 samples share the +-e_i rows with the kappa directions; 6 samples
+    # lack +-e_2, which the operator appends after them
+    for samples in (6, 16):
+        config = SolverConfig(direction_samples=samples)
+        grad = discrete_gradient(prob, sample(prob), node, config)
+        assert np.allclose(grad, [-2.0, 1.0], atol=1e-10)
 
 
 def test_discrete_gradient_zero_for_constant():
@@ -170,6 +195,18 @@ def test_node_subset_matches_full_evaluation():
     part = Scheme(prob, config, node_subset=subset)
     op_part, _ = part.discrete_operator(u, 0.0)
     assert np.allclose(op_part, op_full[[5, 40, 100]], atol=1e-14)
+
+
+def test_datum_vector_follows_time_dependent_boundary_data():
+    # off-box flow targets read g at the step's own time level; a radius
+    # above the spacing sends targets of the outer interior nodes off the box
+    prob = make_problem(heisenberg_group(), ((-1, 1),) * 3, (6, 6, 6), 2.0,
+                        "x1 + x3", "x1 + x3 + t")
+    scheme = Scheme(prob, SolverConfig(stencil_radius=0.5))
+    clamped = scheme.operator.clamped
+    assert len(clamped)
+    for t in (0.0, 0.25, 0.5, 0.25):
+        assert np.array_equal(scheme.datum(t), prob.g(clamped, t))
 
 
 # -- stepping --------------------------------------------------------

@@ -46,11 +46,14 @@ from .operators import (
 )
 from .grid import GridFunction, GridSpec, classify_nodes
 from .solver import (
+    Binding,
     CauchyDirichletProblem,
     Scheme,
     SolveResult,
     SolverConfig,
     SolverError,
+    Stack,
+    march,
     solve_elliptic_steady,
     solve_parabolic,
     solve_to_steady,

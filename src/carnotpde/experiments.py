@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from operator import mul
 
 import numpy as np
 import sympy
@@ -23,10 +24,12 @@ from .calculus import PenaltySpec
 from .fields import ScalarField
 from .grid import GridFunction
 from .solver import (
-    CauchyDirichletProblem,
+    Binding,
     Scheme,
     SolverConfig,
     SolverError,
+    Stack,
+    march,
     solve_elliptic_steady,
     solve_parabolic,
     solve_to_steady,
@@ -95,35 +98,28 @@ def comparison_experiment(problem, config, u0, v0):
     """Evolve an ordered pair with a shared time step; the gap never flips sign."""
     elapsed = _timer()
     grid = problem.grid
-    pu = replace(problem, psi=u0, g=u0)
-    pv = replace(problem, psi=v0, g=v0)
-    su, sv = Scheme(pu, config), Scheme(pv, config)
+    scheme = Scheme(problem, config)
 
-    coords = su.coords
+    coords = scheme.coords
     gap0 = float((u0(coords, 0.0) - v0(coords, 0.0)).max())
     if gap0 > 1e-12:
         raise PreconditionError(
             f"initial data are not ordered: max(u0 - v0) = {gap0:.3e} > 0")
     for t in np.linspace(0.0, grid.horizon, 9):
-        bgap = float((u0(su.coords_lateral, t) - v0(su.coords_lateral, t)).max())
+        bgap = float((u0(scheme.coords_lateral, t)
+                      - v0(scheme.coords_lateral, t)).max())
         if bgap > 1e-12:
             raise PreconditionError(
                 f"boundary data are not ordered at t={t:.3g}: gap {bgap:.3e}")
 
-    u = np.asarray(u0(coords, 0.0), dtype=float).copy()
-    v = np.asarray(v0(coords, 0.0), dtype=float).copy()
-    u[su.lateral] = u0(su.coords_lateral, 0.0)
-    v[sv.lateral] = v0(sv.coords_lateral, 0.0)
-    t = 0.0
-    worst = float((u - v).max())
-    worst_at = (int(np.argmax(u - v)), 0.0)
-    while t < grid.horizon - 1e-14:
-        dt = min(su.cfl_dt(u, t), sv.cfl_dt(v, t), grid.horizon - t)
-        u, _, _ = su.step(u, t, dt)
-        v, t, _ = sv.step(v, t, dt)
-        gap = float((u - v).max())
-        if gap > worst:
-            worst, worst_at = gap, (int(np.argmax(u - v)), t)
+    stack = Stack([Binding(scheme, u0, u0, problem.h, config),
+                   Binding(scheme, v0, v0, problem.h, config)])
+    gap = stack.U[0] - stack.U[1]
+    worst, worst_at = float(gap.max()), (int(np.argmax(gap)), 0.0)
+    for _ in march(stack, config, [grid.horizon]):
+        gap = stack.U[0] - stack.U[1]
+        if gap.max() > worst:
+            worst, worst_at = float(gap.max()), (int(np.argmax(gap)), stack.t)
     passed = worst <= 1e-12
     detail = "" if passed else f"ordering violated at node {worst_at[0]}, t={worst_at[1]:.6g}"
     return ExperimentReport(
@@ -135,24 +131,15 @@ def comparison_experiment(problem, config, u0, v0):
 def boundary_stability_experiment(problem, config, g1, g2):
     """Two boundary data, one scheme: interior gap stays below the data gap."""
     elapsed = _timer()
-    grid = problem.grid
-    p1 = replace(problem, psi=g1, g=g1)
-    p2 = replace(problem, psi=g2, g=g2)
-    s1, s2 = Scheme(p1, config), Scheme(p2, config)
-
-    coords = s1.coords
-    u1 = np.asarray(g1(coords, 0.0), dtype=float).copy()
-    u2 = np.asarray(g2(coords, 0.0), dtype=float).copy()
-    data_gap = float(np.abs(u1 - u2).max())        # initial slice
-    t = 0.0
-    sol_gap = data_gap
-    while t < grid.horizon - 1e-14:
-        dt = min(s1.cfl_dt(u1, t), s2.cfl_dt(u2, t), grid.horizon - t)
-        u1, _, _ = s1.step(u1, t, dt)
-        u2, t, _ = s2.step(u2, t, dt)
-        data_gap = max(data_gap, float(
-            np.abs(u1[s1.lateral] - u2[s1.lateral]).max()))
-        sol_gap = max(sol_gap, float(np.abs(u1 - u2).max()))
+    scheme = Scheme(problem, config)
+    stack = Stack([Binding(scheme, g1, g1, problem.h, config),
+                   Binding(scheme, g2, g2, problem.h, config)])
+    gap = np.abs(stack.U[0] - stack.U[1])
+    data_gap = sol_gap = float(gap.max())         # initial slice
+    for _ in march(stack, config, [problem.grid.horizon]):
+        gap = np.abs(stack.U[0] - stack.U[1])
+        data_gap = max(data_gap, float(gap[scheme.lateral].max()))
+        sol_gap = max(sol_gap, float(gap.max()))
     bound = data_gap + 1e-10
     return ExperimentReport(
         name="boundary_stability", inputs=_digest(problem, config),
@@ -186,28 +173,21 @@ def homogeneity_experiment(problem, config, k):
     if k <= 0:
         raise PreconditionError("scaling factor k must be positive")
     c = k ** (1.0 / (h - 1.0))
-    grid = problem.grid
 
-    base_scheme = Scheme(problem, config)
-    u = np.asarray(problem.psi(base_scheme.coords, 0.0), dtype=float).copy()
-    u[base_scheme.lateral] = problem.g(base_scheme.coords_lateral, 0.0)
-    dt = 0.5 * base_scheme.cfl_dt(u, 0.0)
-    steps = max(4, int(round(grid.horizon / dt)))
+    scheme = Scheme(problem, config)
+    u = Stack.of(scheme, problem, config)
+    v = Stack([Binding(scheme, problem.psi * c, problem.g * c, h, replace(
+        config, gradient_threshold=c * u.fields[0].eps_g))])
+    dt = 0.5 * u.cfl_dt(config)[0]
+    steps = max(4, int(round(problem.grid.horizon / dt)))
 
-    scaled_problem = replace(problem, psi=problem.psi * c, g=problem.g * c)
-    scaled_config = replace(config, gradient_threshold=c * base_scheme.eps_g)
-    scaled_scheme = Scheme(scaled_problem, scaled_config)
-    v = np.asarray(scaled_problem.psi(scaled_scheme.coords, 0.0), dtype=float).copy()
-    v[scaled_scheme.lateral] = scaled_problem.g(scaled_scheme.coords_lateral, 0.0)
-
-    t_u = t_v = 0.0
-    worst = float(np.abs(v - c * u).max())
-    for _ in range(steps):
-        if base_scheme.cfl_dt(u, t_u) < dt:
+    worst = float(np.abs(v.U - c * u.U).max())
+    lockstep = zip(march(u, replace(config, dt=dt)),
+                   march(v, replace(config, dt=dt / k)))
+    for _ in itertools.islice(lockstep, steps):
+        if u.cfl[0] < dt:
             raise SolverError("fixed step lost its CFL certificate mid-run")
-        u, t_u, _ = base_scheme.step(u, t_u, dt)
-        v, t_v, _ = scaled_scheme.step(v, t_v, dt / k)
-        worst = max(worst, float(np.abs(v - c * u).max()))
+        worst = max(worst, float(np.abs(v.U - c * u.U).max()))
     return ExperimentReport(
         name="homogeneity", inputs=_digest(problem, config, k=k),
         measured=[("max_scaling_mismatch", worst)], bound=1e-10,
@@ -215,38 +195,6 @@ def homogeneity_experiment(problem, config, k):
 
 
 # -- asymptotic statements -------------------------------------------
-
-
-def _march_with_geometric_captures(problem, config, ratio, rate_tol, n_keep):
-    """March to the steady regime, snapshotting at geometrically spaced times.
-
-    Returns (captures, data_sup) where captures is a list of (t, values)
-    ending at the first capture whose sup change per unit time since the
-    previous capture drops below ``rate_tol``.
-    """
-    scheme = Scheme(problem, config)
-    values = np.asarray(problem.psi(scheme.coords, 0.0), dtype=float).copy()
-    values[scheme.lateral] = problem.g(scheme.coords_lateral, 0.0)
-    data_sup = float(np.abs(values).max())
-    t = 0.0
-    next_cap = 8.0 * scheme.cfl_dt(values, 0.0)
-    captures = [(0.0, values.copy())]
-    steps = 0
-    while True:
-        dt = min(scheme.cfl_dt(values, t), next_cap - t)
-        values, t, _ = scheme.step(values, t, dt)
-        steps += 1
-        if steps > config.max_steps:
-            raise SolverError(f"exceeded max_steps={config.max_steps}")
-        if abs(t - next_cap) <= 1e-13 * max(1.0, next_cap):
-            t_prev, prev = captures[-1]
-            rate = float(np.abs(values - prev).max()) / (t - t_prev)
-            captures.append((t, values.copy()))
-            if len(captures) > n_keep:
-                captures.pop(0)
-            if rate < rate_tol:
-                return captures, data_sup
-            next_cap *= ratio
 
 
 def long_time_experiment(problem, config, n_pairs=8):
@@ -259,9 +207,21 @@ def long_time_experiment(problem, config, n_pairs=8):
     if not _time_independent(problem.g):
         raise PreconditionError("long-time behavior needs a time-independent "
                                 "boundary datum")
-    ratio = 2.0 ** 0.25            # adjacent captures satisfy tau <= t/4
-    captures, data_sup = _march_with_geometric_captures(
-        problem, config, ratio, config.steady_tolerance / 10.0, n_pairs + 3)
+    # March to the steady regime, capturing at geometrically spaced times
+    # (ratio 2^(1/4), so adjacent captures satisfy tau <= t/4), until the sup
+    # change per unit time between captures falls below steady_tolerance/10.
+    stack = Stack.of(Scheme(problem, config), problem, config)
+    data_sup = float(np.abs(stack.U).max())
+    caps = itertools.accumulate(itertools.repeat(2.0 ** 0.25), mul,
+                                initial=8.0 * stack.cfl_dt(config)[0])
+    captures = [(0.0, stack.U[0].copy())]
+    for _ in march(stack, config, caps):
+        if stack.at_stop:
+            t_prev, prev = captures[-1]
+            rate = float(np.abs(stack.U[0] - prev).max()) / (stack.t - t_prev)
+            captures = captures[-(n_pairs + 2):] + [(stack.t, stack.U[0].copy())]
+            if rate < config.steady_tolerance / 10.0:
+                break
     t_large, u_final = captures[-1]
 
     measured = []

@@ -133,24 +133,15 @@ class StencilOperator:
                                self.outside.shape)
 
     def apply(self, values, datum=None):
-        """Values at every flow target, shape (D, K)."""
-        out = self.matrix @ values
+        """Values at every flow target: shape (D, K) for one field's node
+        values and datum vector, (D, K, B) for a (B, nodes) stack and a
+        sequence of B datum vectors."""
+        out = self.matrix @ values.T
         if self.outside.size:
             if datum is None:
                 raise ValueError("stencil leaves the box but no datum was given")
-            out[self.outside] = datum
-        return out.reshape(self.n_directions, -1)
-
-    def directions(self, start, stop):
-        """The operator of directions start..stop-1 alone, and the slice of
-        this operator's datum vector that it reads."""
-        if (start, stop) == (0, self.n_directions):
-            return self, slice(None)
-        K = self.matrix.shape[0] // self.n_directions
-        lo, hi = np.searchsorted(self.outside, (start * K, stop * K))
-        sub = StencilOperator(self.matrix[start * K:stop * K], stop - start,
-                              self.outside[lo:hi] - start * K, self.clamped[lo:hi])
-        return sub, slice(lo, hi)
+            out[self.outside] = np.transpose(datum)
+        return out.reshape(self.n_directions, -1, *out.shape[1:])
 
 
 def build_stencil(grid, target_list):
@@ -164,6 +155,7 @@ def build_stencil(grid, target_list):
     for axis in range(N - 2, -1, -1):
         strides[axis] = strides[axis + 1] * grid.shape[axis + 1]
     bits = (np.arange(2 ** N)[:, None] >> np.arange(N - 1, -1, -1)) & 1
+    offsets = bits @ strides
 
     data, indices, counts, outside, clamped = [], [], [], [], []
     rows = 0
@@ -174,11 +166,13 @@ def build_stencil(grid, target_list):
         pos = (clipped - lo) / grid.spacings
         cell = np.clip(np.floor(pos).astype(np.int64), 0, np.array(grid.cells) - 1)
         frac = np.minimum(pos - cell, 1.0)      # pos can round past the upper face
-        corners = np.empty((len(targets), 2 ** N), dtype=np.int64)
-        weights = np.empty((len(targets), 2 ** N))
-        for c in range(2 ** N):
-            corners[:, c] = (cell + bits[c]) @ strides
-            weights[:, c] = np.prod(np.where(bits[c] == 1, frac, 1.0 - frac), axis=1)
+        corners = (cell @ strides)[:, None] + offsets
+        # corner weights multiplied axis by axis, in np.prod's order
+        weights = np.ones((2 ** N, len(targets)))
+        for axis in range(N):
+            weights *= np.where(bits[:, axis, None] == 1, frac[:, axis],
+                                1.0 - frac[:, axis])
+        weights = weights.T
         keep = (weights != 0.0) & inside[:, None]
         data.append(weights[keep])
         indices.append(corners[keep].astype(np.int32))

@@ -13,17 +13,19 @@ for h = 1).  With the CFL step bound the update is a convex combination of
 stencil values, which gives the discrete comparison principle and the
 discrete maximum principle exactly.
 
-All flow values of a step come from one apply of the scheme's stencil
-operator (``grid.StencilOperator``).  Its first D rows are the direction set
-and its last 2 n1 rows the +-e_i of the central-difference gradient, shared
-with the set where it holds them and appended after it where it does not.
-The CFL step applies the gradient rows alone.
+A ``Scheme`` is the data-free geometry of one (group, grid, delta, direction
+set): its stencil operator (``grid.StencilOperator``), whose first D rows are
+the direction set and whose last 2 n1 rows the +-e_i of the central-difference
+gradient.  A ``Binding`` is one field's data on it (psi, g, h, eps_g) and the
+envelope of every data value read.  ``march`` advances a (B, nodes) ``Stack``
+of bound fields with one operator apply per step, whose gradient rows give
+both the speed and the CFL step; every solve and experiment runs on it.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy
@@ -102,12 +104,13 @@ def direction_set(n1, samples):
     return np.array(dirs)
 
 
-def _row_norms(a):
-    """Euclidean norm of each row, summed column by column: the sums of
-    np.linalg.norm(a, axis=1) below 8 columns, without its slow short reduce."""
-    sq = a[:, 0] * a[:, 0]
-    for i in range(1, a.shape[1]):
-        sq += a[:, i] * a[:, i]
+def _norm(components):
+    """Euclidean norm over equally shaped components, summed in order: for
+    the columns of an array a, the sums of np.linalg.norm(a, axis=1) below 8
+    columns, without its slow short reduce."""
+    sq = components[0] * components[0]
+    for c in components[1:]:
+        sq += c * c
     return np.sqrt(sq)
 
 
@@ -119,35 +122,26 @@ def _time_independent(fieldlike):
 
 
 class Scheme:
-    """One problem's stencil operator and the vectorized update machinery."""
+    """The data-free stencil geometry of one (group, grid, delta, direction
+    set), and the update of a stack of fields bound to it."""
 
     def __init__(self, problem, config=None, node_subset=None):
-        self.problem = problem
-        self.config = config or SolverConfig()
+        config = config or SolverConfig()
         G, grid = problem.group, problem.grid
-        self.delta = (self.config.stencil_radius
-                      if self.config.stencil_radius is not None else grid.delta)
-        self.eps_g = (self.config.gradient_threshold
-                      if self.config.gradient_threshold is not None else self.delta)
+        self.delta = (config.stencil_radius
+                      if config.stencil_radius is not None else grid.delta)
         self.lateral = grid.lateral_mask()
-        self.interior = ~self.lateral
-        coords = grid.coords()
-        self.coords = coords
+        self.coords = grid.coords()
         if node_subset is None:
-            self.interior_flat = np.nonzero(self.interior)[0]
+            self.interior_flat = np.nonzero(~self.lateral)[0]
         else:
             self.interior_flat = np.asarray(node_subset, dtype=np.int64)
             if self.lateral[self.interior_flat].any():
                 raise ValueError("node subset must consist of interior nodes")
-        self.coords_interior = coords[self.interior_flat]
-        self.coords_lateral = coords[self.lateral]
+        self.coords_interior = self.coords[self.interior_flat]
+        self.coords_lateral = self.coords[self.lateral]
         n1 = G.horizontal_dim
-
-        def flow_targets(direction):
-            move = groups.embed_horizontal(G, self.delta * direction)
-            return groups.multiply(G, self.coords_interior, move)
-
-        kappa = direction_set(n1, self.config.direction_samples)
+        kappa = direction_set(n1, config.direction_samples)
         axes = np.eye(n1).repeat(2, axis=0) * np.resize([1.0, -1.0], (2 * n1, 1))
         is_axis = (kappa[:, None, :] == axes[None]).all(axis=2).any(axis=1)
         # Operator rows: the directions other than +-e_i, then +e1, -e1, +e2,
@@ -156,78 +150,158 @@ class Scheme:
         self.directions = np.concatenate([kappa[~is_axis], axes])
         self.n_kappa = len(kappa)
         self._grad_start = len(kappa) - int(is_axis.sum())
-        self.operator = build_stencil(grid, (flow_targets(d) for d in self.directions))
-        self._grad_operator, self._grad_datum = self.operator.directions(
-            self._grad_start, len(self.directions))
-        self._g_static = _time_independent(problem.g)
-        self._datum_t, self._datum = 0.0, self.operator.datum(problem.g, 0.0)
+        self.operator = build_stencil(grid, (
+            groups.multiply(G, self.coords_interior,
+                            groups.embed_horizontal(G, self.delta * d))
+            for d in self.directions))
 
-    # -- stencil evaluation -------------------------------------------
+    def gradient(self, W):
+        """Central differences along the layer-1 axes from the +-e_i rows of
+        an apply: one (K, B) array per axis."""
+        W = W[self._grad_start:]
+        return [(W[2 * i] - W[2 * i + 1]) / (2.0 * self.delta)
+                for i in range(len(W) // 2)]
 
-    def datum(self, t):
-        """The operator's datum vector at time t: evaluated once when g does
-        not depend on t, once per time level otherwise."""
-        if not self._g_static and t != self._datum_t:
-            self._datum_t, self._datum = t, self.operator.datum(self.problem.g, t)
-        return self._datum
-
-    def _gradient(self, W):
-        """Central differences from the 2 n1 gradient rows W; shape (Ki, n1)."""
-        out = np.empty((W.shape[1], len(W) // 2))
-        for i in range(out.shape[1]):
-            out[:, i] = (W[2 * i] - W[2 * i + 1]) / (2.0 * self.delta)
-        return out
-
-    def discrete_gradient(self, values, t):
-        """Central flow differences along the layer-1 axes; shape (Ki, n1).
-        Applies only the operator's gradient rows."""
-        W = self._grad_operator.apply(values, self.datum(t)[self._grad_datum])
-        return self._gradient(W)
-
-    def speed(self, grad_norm):
-        h = self.problem.h
-        if h == 1.0:
-            return np.ones_like(grad_norm)
-        return np.where(grad_norm > self.eps_g, grad_norm ** (h - 1.0), 0.0)
-
-    def kappa(self, values, W):
-        """Median curvature (max + min of flow neighbors - 2u) / delta^2, from
-        the operator's values ``W`` at ``values``."""
+    def kappa(self, U, W):
+        """Median curvature (max + min of flow neighbors - 2u) / delta^2 of
+        the stack U from its apply W; shape (K, B)."""
         W = W[:self.n_kappa]
-        u = values[self.interior_flat]
+        u = U[:, self.interior_flat].T
         return (W.max(axis=0) + W.min(axis=0) - 2.0 * u) / self.delta ** 2
 
-    def discrete_operator(self, values, t):
-        """Speed times median curvature, from one apply of the operator."""
-        datum = self.datum(t)
-        W = self.operator.apply(values, datum)
-        s = self.speed(_row_norms(self._gradient(W[self._grad_start:])))
-        return s * self.kappa(values, W), datum
+    def discrete_operator(self, U, t, fields, cfl_factor=1.0):
+        """Speed times median curvature, shape (K, B), and the step each
+        field's speed allows, cfl_factor delta^2 / (2 max(1, |grad|^(h-1))),
+        one per field, from one apply."""
+        W = self.operator.apply(U, [f.datum(t) for f in fields])
+        op = self.kappa(U, W)
+        cap = [1.0] * len(fields)
+        if any(f.h != 1.0 for f in fields):
+            norm = _norm(self.gradient(W))
+            for b, f in enumerate(fields):
+                if f.h != 1.0:
+                    grad = np.ascontiguousarray(norm[:, b])
+                    op[:, b] *= np.where(grad > f.eps_g, grad ** (f.h - 1.0), 0.0)
+                    cap[b] = max(1.0, float(grad.max()) ** (f.h - 1.0))
+        return op, [cfl_factor * self.delta ** 2 / (2.0 * c) for c in cap]
 
-    def cfl_dt(self, values, t):
-        """Step size certifying a nonnegative own-node coefficient."""
-        h = self.problem.h
-        cap = 1.0
-        if h > 1.0:
-            grad = self.discrete_gradient(values, t)
-            gmax = float(_row_norms(grad).max())
-            cap = max(1.0, gmax ** (h - 1.0))
-        return self.config.cfl_factor * self.delta ** 2 / (2.0 * cap)
-
-    def step(self, values, t, dt):
-        """One explicit Euler step; returns (new values, new time, the datum
-        vector its off-box stencil rows read)."""
-        op, datum = self.discrete_operator(values, t)
-        new = values.copy()
-        new[self.interior_flat] += dt * op
-        t_new = t + dt
-        new[self.lateral] = self.problem.g(self.coords_lateral, t_new)
-        if not np.all(np.isfinite(new)):
-            bad = int(np.nonzero(~np.isfinite(new))[0][0])
+    def step(self, stack, config, t_stop=np.inf):
+        """One explicit Euler step of a stack on this geometry, in place.  dt
+        is the smallest CFL step of the stack (config.dt when set), trimmed
+        to land on t_stop."""
+        U = stack.U
+        op, stack.cfl = self.discrete_operator(U, stack.t, stack.fields,
+                                               config.cfl_factor)
+        dt = config.dt if config.dt is not None else min(stack.cfl)
+        stack.dt = min(dt, t_stop - stack.t)
+        U[:, self.interior_flat] += stack.dt * op.T
+        stack.t += stack.dt
+        stack.steps += 1
+        for row, f in zip(U, stack.fields):
+            row[self.lateral] = f.lateral(stack.t)
+        if not np.isfinite(U).all():
+            bad = int(np.nonzero(~np.isfinite(U))[1][0])
             raise SolverError(
-                f"non-finite value at node {bad} after t={t_new:.6g}; "
+                f"non-finite value at node {bad} after t={stack.t:.6g}; "
                 f"check the CFL step restriction")
-        return new, t_new, datum
+
+
+class Binding:
+    """One field's data on a Scheme's geometry: initial datum psi, lateral
+    datum g, exponent h and gradient threshold eps_g (the config's, delta by
+    default).  g's lateral values and datum vector are evaluated once when g
+    does not depend on t and once per time level otherwise; data_min and
+    data_max bound every data value read so far."""
+
+    def __init__(self, scheme, psi, g, h, config=None):
+        eps_g = config.gradient_threshold if config is not None else None
+        self.scheme, self.psi, self.g, self.h = scheme, psi, g, h
+        self.eps_g = scheme.delta if eps_g is None else eps_g
+        self._static = _time_independent(g)
+        self._cache = {}
+        self.data_min, self.data_max = np.inf, -np.inf
+
+    def record(self, values):
+        """Widen the data envelope over ``values``; returns them."""
+        if values.size:
+            self.data_min = min(self.data_min, float(values.min()))
+            self.data_max = max(self.data_max, float(values.max()))
+        return values
+
+    def _at(self, key, t, evaluate):
+        cached = self._cache.get(key)
+        if cached is None or (not self._static and t != cached[0]):
+            values = np.asarray(evaluate(), dtype=float)
+            cached = self._cache[key] = (t, self.record(values))
+        return cached[1]
+
+    def lateral(self, t):
+        """g at the lateral nodes at time t."""
+        return self._at("lateral", t, lambda: self.g(self.scheme.coords_lateral, t))
+
+    def datum(self, t):
+        """The operator's datum vector, g at the clamped off-box targets."""
+        return self._at("datum", t, lambda: self.scheme.operator.datum(self.g, t))
+
+    def initial(self):
+        """psi at every node, g at the lateral ones, at t = 0."""
+        values = np.array(self.psi(self.scheme.coords, 0.0), dtype=float)
+        values[self.scheme.lateral] = self.lateral(0.0)
+        return values
+
+
+class Stack:
+    """A (B, nodes) stack of fields bound to one geometry, as ``march``
+    leaves it after its latest step.  U defaults to each field's initial
+    values; a given U is copied as it is."""
+
+    def __init__(self, fields, U=None, t=0.0):
+        self.fields = list(fields)
+        self.scheme = self.fields[0].scheme
+        if any(f.scheme is not self.scheme for f in self.fields):
+            raise ValueError("the fields of a stack must share one geometry")
+        self.U = (np.stack([f.initial() for f in self.fields]) if U is None
+                  else np.array(U, dtype=float, ndmin=2))
+        for f, row in zip(self.fields, self.U):
+            f.record(row)
+        self.t, self.steps, self.dt, self.cfl = t, 0, 0.0, None
+        self.at_stop = False              # the latest step landed on a stop
+        self.max_principle_ok = True      # every step inside the data envelope
+
+    @classmethod
+    def of(cls, scheme, problem, config=None, U=None, t=0.0):
+        """The one-field stack of a problem."""
+        return cls([Binding(scheme, problem.psi, problem.g, problem.h, config)], U, t)
+
+    def cfl_dt(self, config):
+        """Each field's CFL step at the stack's current values."""
+        return self.scheme.discrete_operator(self.U, self.t, self.fields,
+                                             config.cfl_factor)[1]
+
+
+def march(stack, config, stops=None):
+    """Advance ``stack`` on its geometry, yielding it after every step.
+
+    With ``stops``, an increasing iterable of times, each step is trimmed to
+    land on the next stop exactly and the march ends on the last one;
+    without, it runs until the caller stops asking.  Every step checks each
+    field against the envelope of the data it has read (the discrete maximum
+    principle) and raises SolverError past ``config.max_steps``.
+    """
+    stops = None if stops is None else iter(stops)
+    stop = np.inf if stops is None else next(stops, None)
+    while stop is not None:
+        stack.scheme.step(stack, config, stop)
+        if stack.steps > config.max_steps:
+            raise SolverError(f"exceeded max_steps={config.max_steps}")
+        stack.max_principle_ok = stack.max_principle_ok and all(
+            row.min() >= f.data_min - 1e-12 and row.max() <= f.data_max + 1e-12
+            for f, row in zip(stack.fields, stack.U))
+        stack.at_stop = (stops is not None
+                         and abs(stack.t - stop) <= 1e-12 * max(1.0, stop))
+        yield stack
+        if stack.at_stop:
+            stop = next(stops, None)
 
 
 @dataclass
@@ -243,6 +317,13 @@ class SolveResult:
     def final(self):
         return self.snapshots[-1]
 
+    @classmethod
+    def of(cls, stack, snapshots):
+        """The result of a one-field march."""
+        field = stack.fields[0]
+        return cls(snapshots, field.data_min, field.data_max, stack.steps,
+                   stack.dt, stack.max_principle_ok)
+
 
 def solve_parabolic(problem, config=None, snapshot_times=None, scheme=None):
     """March from the initial datum to the horizon, collecting snapshots.
@@ -253,85 +334,38 @@ def solve_parabolic(problem, config=None, snapshot_times=None, scheme=None):
     config = config or SolverConfig()
     scheme = scheme or Scheme(problem, config)
     grid = problem.grid
-    T = grid.horizon
-    times = sorted(snapshot_times) if snapshot_times else [T]
-    if times[-1] > T + 1e-12:
+    times = sorted(snapshot_times) if snapshot_times else [grid.horizon]
+    if times[-1] > grid.horizon + 1e-12:
         raise ValueError("snapshot time beyond the horizon")
-
-    values = problem.psi(scheme.coords, 0.0)
-    values = np.asarray(values, dtype=float).copy()
-    values[scheme.lateral] = problem.g(scheme.coords_lateral, 0.0)
-    t = 0.0
-    data_min = float(values.min())
-    data_max = float(values.max())
+    stack = Stack.of(scheme, problem, config)
     snapshots = []
-    pending = list(times)
-    if pending[0] <= 1e-14:
-        snapshots.append(GridFunction(grid, values.copy(), 0.0))
-        pending.pop(0)
-
-    steps = 0
-    dt = 0.0
-    while pending:
-        target = pending[0]
-        dt = config.dt if config.dt is not None else scheme.cfl_dt(values, t)
-        dt = min(dt, target - t)
-        values, t, datum = scheme.step(values, t, dt)
-        for seen in (values[scheme.lateral], datum):   # every datum value read
-            if seen.size:
-                data_min = min(data_min, float(seen.min()))
-                data_max = max(data_max, float(seen.max()))
-        steps += 1
-        if steps > config.max_steps:
-            raise SolverError(f"exceeded max_steps={config.max_steps}")
-        if abs(t - target) <= 1e-12 * max(1.0, T):
-            snapshots.append(GridFunction(grid, values.copy(), t))
-            pending.pop(0)
-
-    ok = all(
-        s.values.min() >= data_min - 1e-12 and s.values.max() <= data_max + 1e-12
-        for s in snapshots)
-    return SolveResult(snapshots=snapshots, data_min=data_min, data_max=data_max,
-                       steps=steps, dt_last=dt, max_principle_ok=ok)
+    if times[0] <= 1e-14:
+        snapshots.append(GridFunction(grid, stack.U[0].copy(), 0.0))
+        times.pop(0)
+    for _ in march(stack, config, times):
+        if stack.at_stop:
+            snapshots.append(GridFunction(grid, stack.U[0].copy(), stack.t))
+    return SolveResult.of(stack, snapshots)
 
 
 def solve_to_steady(problem, config=None, rate_tol=None, check_every=25,
                     scheme=None, t_cap=None):
-    """March until the sup change per unit time falls below ``rate_tol``
-    (default: steady_tolerance / 10).  Returns (SolveResult, t_large)."""
+    """March until the sup change per unit time over ``check_every`` steps
+    falls below ``rate_tol`` (default: steady_tolerance / 10).  Returns
+    (SolveResult, t_large)."""
     config = config or SolverConfig()
     scheme = scheme or Scheme(problem, config)
     rate_tol = rate_tol if rate_tol is not None else config.steady_tolerance / 10.0
-
-    values = problem.psi(scheme.coords, 0.0)
-    values = np.asarray(values, dtype=float).copy()
-    values[scheme.lateral] = problem.g(scheme.coords_lateral, 0.0)
-    t = 0.0
-    data_min = float(values.min())
-    data_max = float(values.max())
-    steps = 0
-    dt = config.dt if config.dt is not None else scheme.cfl_dt(values, t)
-    while True:
-        ref = values
-        t_ref = t
-        for _ in range(check_every):
-            if config.dt is None:
-                dt = scheme.cfl_dt(values, t)
-            values, t, _ = scheme.step(values, t, dt)
-            lat = values[scheme.lateral]
-            if lat.size:
-                data_min = min(data_min, float(lat.min()))
-                data_max = max(data_max, float(lat.max()))
-            steps += 1
-            if steps > config.max_steps:
-                raise SolverError(f"exceeded max_steps={config.max_steps}")
-        rate = float(np.abs(values - ref).max()) / (t - t_ref)
-        if rate < rate_tol or (t_cap is not None and t >= t_cap):
-            break
-    snap = GridFunction(problem.grid, values.copy(), t)
-    result = SolveResult(snapshots=[snap], data_min=data_min, data_max=data_max,
-                         steps=steps, dt_last=dt)
-    return result, t
+    stack = Stack.of(scheme, problem, config)
+    ref, t_ref = stack.U.copy(), stack.t
+    for _ in march(stack, config):
+        if stack.steps % check_every == 0:
+            rate = float(np.abs(stack.U - ref).max()) / (stack.t - t_ref)
+            if rate < rate_tol or (t_cap is not None and stack.t >= t_cap):
+                break
+            ref, t_ref = stack.U.copy(), stack.t
+    snap = GridFunction(problem.grid, stack.U[0], stack.t)
+    return SolveResult.of(stack, [snap]), stack.t
 
 
 def solve_elliptic_steady(problem, config=None, scheme=None):
@@ -339,10 +373,10 @@ def solve_elliptic_steady(problem, config=None, scheme=None):
     boundary held at the lateral datum; valid for every h."""
     config = config or SolverConfig()
     scheme = scheme or Scheme(problem, config)
-    values = np.asarray(problem.g(scheme.coords, 0.0), dtype=float).copy()
-    values[scheme.lateral] = problem.g(scheme.coords_lateral, 0.0)
+    field = Binding(scheme, problem.g, problem.g, problem.h)
+    values, datum = field.initial(), field.datum(0.0)
     for sweep in range(config.max_steps):
-        W = scheme.operator.apply(values, scheme.datum(0.0))[:scheme.n_kappa]
+        W = scheme.operator.apply(values, datum)[:scheme.n_kappa]
         new = values.copy()
         new[scheme.interior_flat] = 0.5 * (W.max(axis=0) + W.min(axis=0))
         change = float(np.abs(new - values).max())
@@ -362,15 +396,20 @@ def _flat_index(grid, node):
     return int(np.ravel_multi_index(tuple(int(i) for i in node), grid.shape))
 
 
+def _at_node(problem, config, node):
+    """The one-node geometry of an interior node, and its one-field stack."""
+    flat = _flat_index(problem.grid, node)
+    if problem.grid.lateral_mask()[flat]:
+        raise ValueError("node is on the parabolic boundary")
+    scheme = Scheme(problem, config, node_subset=[flat])
+    return scheme, Stack.of(scheme, problem, config)
+
+
 def discrete_gradient(problem, u, node, config=None):
     """Horizontal central-difference gradient at one node."""
-    scheme = Scheme(problem, config)
-    grad = scheme.discrete_gradient(u.values, u.time_level)
-    flat = _flat_index(problem.grid, node)
-    pos = np.nonzero(scheme.interior_flat == flat)[0]
-    if pos.size == 0:
-        raise ValueError("node is on the parabolic boundary")
-    return grad[pos[0]]
+    scheme, stack = _at_node(problem, config, node)
+    W = scheme.operator.apply(u.values[None], [stack.fields[0].datum(u.time_level)])
+    return np.array([d[0, 0] for d in scheme.gradient(W)])
 
 
 def directional_second_difference(problem, u, node, eta):
@@ -388,21 +427,20 @@ def directional_second_difference(problem, u, node, eta):
 
 def discrete_operator(problem, config, u, node):
     """Speed times median curvature at one node."""
-    scheme = Scheme(problem, config)
-    op, _ = scheme.discrete_operator(u.values, u.time_level)
-    flat = _flat_index(problem.grid, node)
-    pos = np.nonzero(scheme.interior_flat == flat)[0]
-    if pos.size == 0:
-        raise ValueError("node is on the parabolic boundary")
-    return float(op[pos[0]])
+    scheme, stack = _at_node(problem, config, node)
+    op, _ = scheme.discrete_operator(u.values[None], u.time_level, stack.fields)
+    return float(op[0, 0])
 
 
 def cfl_dt(problem, config, u):
-    return Scheme(problem, config).cfl_dt(u.values, u.time_level)
+    """The CFL step a march takes from u."""
+    stack = Stack.of(Scheme(problem, config), problem, config, u.values, u.time_level)
+    return stack.cfl_dt(config)[0]
 
 
 def step(problem, config, u):
+    """One march step from u."""
     scheme = Scheme(problem, config)
-    dt = config.dt if config.dt is not None else scheme.cfl_dt(u.values, u.time_level)
-    new, t_new, _ = scheme.step(u.values, u.time_level, dt)
-    return GridFunction(problem.grid, new, t_new)
+    stack = Stack.of(scheme, problem, config, u.values, u.time_level)
+    next(march(stack, config))
+    return GridFunction(problem.grid, stack.U[0], stack.t)

@@ -117,8 +117,10 @@ def test_stencil_bank_matches_individual_stencils(square):
     for d, targets in enumerate(target_list):
         single = build_stencil(square, [targets]).apply(values)[0]
         assert np.allclose(batch[d], single)
-        sub, _ = op.directions(d, d + 1)
-        assert np.array_equal(sub.apply(values)[0], batch[d])
+    # a (B, nodes) stack applies column by column, bit for bit
+    stack = op.apply(np.stack([values, 2.0 * values - 1.0]))
+    assert np.array_equal(stack[..., 0], batch)
+    assert np.array_equal(stack[..., 1], op.apply(2.0 * values - 1.0))
 
 
 def test_stencil_bank_datum_cache(square):

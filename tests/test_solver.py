@@ -2,6 +2,7 @@
 maximum principle, steady states."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,16 +13,19 @@ from carnotpde.fields import ScalarField
 from carnotpde.grid import GridFunction, GridSpec
 from carnotpde.groups import engel_group, euclidean_group, heisenberg_group
 from carnotpde.solver import (
+    Binding,
     CauchyDirichletProblem,
     Scheme,
     SolverConfig,
     SolverError,
-    _row_norms,
+    Stack,
+    _norm,
     cfl_dt,
     direction_set,
     directional_second_difference,
     discrete_gradient,
     discrete_operator,
+    march,
     solve_elliptic_steady,
     solve_parabolic,
     solve_to_steady,
@@ -98,7 +102,7 @@ def test_row_norms_match_numpy_norm():
     rng = np.random.default_rng(3)
     for n1 in range(1, 8):
         a = rng.normal(size=(500, n1)) * rng.uniform(0.0, 10.0, (500, 1))
-        assert np.array_equal(_row_norms(a), np.linalg.norm(a, axis=1))
+        assert np.array_equal(_norm(a.T), np.linalg.norm(a, axis=1))
 
 
 # -- node-wise oracles -----------------------------------------------
@@ -189,11 +193,11 @@ def test_node_subset_matches_full_evaluation():
                         "x1**2 - x2*x3")
     config = SolverConfig()
     full = Scheme(prob, config)
-    u = prob.psi(full.coords, 0.0)
-    op_full, _ = full.discrete_operator(u, 0.0)
+    u = prob.psi(full.coords, 0.0)[None]
+    op_full, _ = full.discrete_operator(u, 0.0, [Binding(full, prob.psi, prob.g, 2.0)])
     subset = full.interior_flat[[5, 40, 100]]
     part = Scheme(prob, config, node_subset=subset)
-    op_part, _ = part.discrete_operator(u, 0.0)
+    op_part, _ = part.discrete_operator(u, 0.0, [Binding(part, prob.psi, prob.g, 2.0)])
     assert np.allclose(op_part, op_full[[5, 40, 100]], atol=1e-14)
 
 
@@ -203,10 +207,11 @@ def test_datum_vector_follows_time_dependent_boundary_data():
     prob = make_problem(heisenberg_group(), ((-1, 1),) * 3, (6, 6, 6), 2.0,
                         "x1 + x3", "x1 + x3 + t")
     scheme = Scheme(prob, SolverConfig(stencil_radius=0.5))
+    field = Binding(scheme, prob.psi, prob.g, prob.h)
     clamped = scheme.operator.clamped
     assert len(clamped)
     for t in (0.0, 0.25, 0.5, 0.25):
-        assert np.array_equal(scheme.datum(t), prob.g(clamped, t))
+        assert np.array_equal(field.datum(t), prob.g(clamped, t))
 
 
 # -- stepping --------------------------------------------------------
@@ -261,12 +266,12 @@ def test_step_monotonicity_h1(seed):
     rng = np.random.default_rng(seed)
     prob = make_problem(euclidean_group(2), ((0, 1), (0, 1)), (5, 5), 1.0,
                         "x1*x2")
-    scheme = Scheme(prob, SolverConfig())
+    config = SolverConfig()
+    scheme = Scheme(prob, config)
     u = rng.uniform(-1, 1, prob.grid.node_count)
     v = u + rng.uniform(0, 1, prob.grid.node_count)
-    dt = min(scheme.cfl_dt(u, 0.0), scheme.cfl_dt(v, 0.0))
-    u1, _, _ = scheme.step(u, 0.0, dt)
-    v1, _, _ = scheme.step(v, 0.0, dt)
+    stack = Stack([Binding(scheme, prob.psi, prob.g, 1.0)] * 2, [u, v])
+    (u1, v1) = next(march(stack, config)).U
     assert (u1 <= v1 + 1e-13).all()
 
 
@@ -329,3 +334,56 @@ def test_parabolic_flow_approaches_elliptic_steady():
     steady = solve_elliptic_steady(prob, SolverConfig())
     assert t_large > 0.1
     assert np.abs(result.final.values - steady.values).max() <= 1e-3
+
+
+def test_solve_to_steady_envelope_covers_the_datum_it_reads():
+    # g vanishes at every node but not between them on the boundary faces,
+    # where a radius above the spacing clamps off-box flow targets: only the
+    # datum vector carries the data that move the solution
+    g = "100*x1*(x1 - 0.25)*(x1 - 0.5)*(x1 - 0.75)*(x1 - 1)"
+    prob = make_problem(euclidean_group(2), ((0, 1), (0, 1)), (4, 4), 1.0, g)
+    config = SolverConfig(stencil_radius=0.4, steady_tolerance=1e-6)
+    result, _ = solve_to_steady(prob, config)
+    assert np.abs(prob.g(prob.grid.coords(), 0.0)).max() <= 1e-12
+    assert np.abs(result.final.values).max() > 1e-3
+    assert result.max_principle_ok
+    assert result.data_min - 1e-12 <= result.final.values.min()
+    assert result.final.values.max() <= result.data_max + 1e-12
+
+
+_STACK_GROUPS = {"euclidean1": (euclidean_group(1), (16,)),
+                 "heisenberg": (heisenberg_group(), (6, 6, 6)),
+                 "engel": (engel_group(), (4, 4, 4, 4))}
+
+
+@pytest.mark.parametrize("name", sorted(_STACK_GROUPS))
+@given(seed=st.integers(0, 2 ** 32 - 1), n_fields=st.integers(2, 3),
+       wide=st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_stack_march_matches_each_field_marched_alone(name, seed, n_fields, wide):
+    # one apply for the whole stack must give every field exactly the values
+    # it gets alone under the same dt sequence: per-field h, eps_g, static
+    # and time-dependent g, and off-box datum rows when the radius is wide
+    G, cells = _STACK_GROUPS[name]
+    rng = np.random.default_rng(seed)
+    n = G.total_dim
+    prob = make_problem(G, ((-1, 1),) * n, cells, 2.0, "x1", horizon=1.0)
+    config = SolverConfig(direction_samples=8, cfl_factor=rng.uniform(0.3, 1.0),
+                          stencil_radius=1.5 * prob.grid.delta if wide else None)
+    scheme = Scheme(prob, config)
+    spec = []
+    for _ in range(n_fields):
+        c = rng.uniform(-1.0, 1.0, 4)
+        expr = (f"{c[0]}*x1 + {c[1]}*x{n}*x1 + {c[2]}*x{n}**2"
+                + (f" + {c[3]}*t" if rng.random() < 0.5 else ""))
+        spec.append((ScalarField.from_expression(expr, n),
+                     float(rng.choice([1.0, 1.5, 2.0, 3.0])),
+                     SolverConfig(gradient_threshold=rng.uniform(0.0, 0.5))))
+    stack = Stack([Binding(scheme, f, f, h, eps) for f, h, eps in spec])
+    alone = [Stack([Binding(scheme, f, f, h, eps)]) for f, h, eps in spec]
+    for _ in zip(range(6), march(stack, config)):
+        for b, single in enumerate(alone):
+            scheme.step(single, replace(config, dt=stack.dt))
+            assert single.t == stack.t
+            assert np.array_equal(single.U[0], stack.U[b])
+            assert single.cfl[0] == stack.cfl[b]

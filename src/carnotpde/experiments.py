@@ -129,17 +129,24 @@ def comparison_experiment(problem, config, u0, v0):
 
 
 def boundary_stability_experiment(problem, config, g1, g2):
-    """Two boundary data, one scheme: interior gap stays below the data gap."""
+    """Two boundary data, one scheme: interior gap stays below the data gap,
+    taken over every data value the march reads: the initial slice, the
+    lateral nodes and the off-box datum vectors."""
     elapsed = _timer()
     scheme = Scheme(problem, config)
     stack = Stack([Binding(scheme, g1, g1, problem.h, config),
                    Binding(scheme, g2, g2, problem.h, config)])
     gap = np.abs(stack.U[0] - stack.U[1])
     data_gap = sol_gap = float(gap.max())         # initial slice
+    t_read = stack.t                              # the datum a step reads
     for _ in march(stack, config, [problem.grid.horizon]):
         gap = np.abs(stack.U[0] - stack.U[1])
-        data_gap = max(data_gap, float(gap[scheme.lateral].max()))
+        datum_gap = np.abs(stack.fields[0].datum(t_read)
+                           - stack.fields[1].datum(t_read))
+        data_gap = max(data_gap, float(gap[scheme.lateral].max()),
+                       float(datum_gap.max(initial=0.0)))
         sol_gap = max(sol_gap, float(gap.max()))
+        t_read = stack.t
     bound = data_gap + 1e-10
     return ExperimentReport(
         name="boundary_stability", inputs=_digest(problem, config),

@@ -1,6 +1,6 @@
 """Monotone explicit semi-Lagrangian solver for the Cauchy-Dirichlet problem
 u_t = (h-homogeneous infinite Laplacian of u) on a coordinate box, plus the
-steady-state fixed-point iteration.
+certified elliptic steady solve.
 
 The update at an interior node p is
 
@@ -20,6 +20,13 @@ gradient.  A ``Binding`` is one field's data on it (psi, g, h, eps_g) and the
 envelope of every data value read.  ``march`` advances a (B, nodes) ``Stack``
 of bound fields with one operator apply per step, whose gradient rows give
 both the speed and the CFL step; every solve and experiment runs on it.
+
+``solve_elliptic_steady`` finds the fixed point of the same max + min map by
+policy iteration (one sparse linear solve per switch of each node's argmax
+and argmin directions, by a numpy BiCGSTAB) and certifies it: a checked
+super- and subsolution around it bound the error through the discrete
+comparison principle.  Where the check fails it falls back to sweeps from the
+data extremes, which bracket the fixed point from both sides.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ class SolverConfig:
     cfl_factor: float = 0.5
     gradient_threshold: float = None          # default: delta
     direction_samples: int = 16
-    steady_tolerance: float = 1e-8
+    steady_tolerance: float = 1e-8            # elliptic solve: certified sup error
     max_steps: int = 2_000_000
     dt: float = None                          # fixed step override
     stencil_radius: float = None              # default: the grid spacing delta
@@ -352,7 +359,12 @@ def solve_to_steady(problem, config=None, rate_tol=None, check_every=25,
                     scheme=None, t_cap=None):
     """March until the sup change per unit time over ``check_every`` steps
     falls below ``rate_tol`` (default: steady_tolerance / 10).  Returns
-    (SolveResult, t_large)."""
+    (SolveResult, t_large).
+
+    The rate stop certifies only that rate: the flow approaches its limit
+    ever more slowly, so a small sup change per unit time does not bound the
+    distance to the steady state.  ``solve_elliptic_steady`` is the route to
+    the fixed point with a certified error."""
     config = config or SolverConfig()
     scheme = scheme or Scheme(problem, config)
     rate_tol = rate_tol if rate_tol is not None else config.steady_tolerance / 10.0
@@ -369,22 +381,123 @@ def solve_to_steady(problem, config=None, rate_tol=None, check_every=25,
 
 
 def solve_elliptic_steady(problem, config=None, scheme=None):
-    """Fixed point of u <- (max + min of flow neighbors) / 2 on the interior,
-    boundary held at the lateral datum; valid for every h."""
+    """The fixed point u* of T(u) = (max + min of the flow neighbors) / 2 on
+    the interior, boundary held at the lateral datum (the same for every h),
+    to a certified sup error below ``config.steady_tolerance``.
+
+    Policy iteration: from u, each interior node's argmax and argmin
+    directions (a, b) fix the linear map T_ab(u) = (W_a + W_b) / 2, with
+    T_ab(u) = T(u) at u; the correction (I - A_ab) du = T(u) - u on the
+    interior moves u to T_ab's fixed point.  Rounds repeat until the policy
+    does, at most ``config.max_steps`` of them.  Certificate: with r =
+    max|T(u) - u| and phi the exit time of the final policy, (I - A_ab) phi =
+    1, the fields u +- eps phi (eps a few r plus round-off at the data scale)
+    are checked to be a super- and a subsolution of T; the comparison
+    principle then puts u* between them.  Where that check fails (exact
+    argmax ties, e.g. a constant datum) the fixed point is bracketed instead
+    by sweeps of T from the constant data minimum and maximum.
+    """
     config = config or SolverConfig()
     scheme = scheme or Scheme(problem, config)
     field = Binding(scheme, problem.g, problem.g, problem.h)
-    values, datum = field.initial(), field.datum(0.0)
-    for sweep in range(config.max_steps):
-        W = scheme.operator.apply(values, datum)[:scheme.n_kappa]
-        new = values.copy()
-        new[scheme.interior_flat] = 0.5 * (W.max(axis=0) + W.min(axis=0))
-        change = float(np.abs(new - values).max())
-        values = new
-        if change < config.steady_tolerance:
-            return GridFunction(problem.grid, values, np.inf)
+    u, datum = field.initial(), field.datum(0.0)
+    I = scheme.interior_flat
+    round_off = 64.0 * np.finfo(float).eps * max(-field.data_min, field.data_max)
+    policy, phi, seen, r_prev = None, None, set(), np.inf
+    for _ in range(config.max_steps):
+        W = scheme.operator.apply(u, datum)[:scheme.n_kappa]
+        a, b = W.argmax(axis=0), W.argmin(axis=0)
+        res = 0.5 * (W.max(axis=0) + W.min(axis=0)) - u[I]
+        r = float(np.abs(res).max())
+        key = a.tobytes() + b.tobytes()
+        repeated = key == policy
+        if not repeated:
+            if key in seen:
+                break
+            seen.add(key)
+            policy, phi = key, None
+            system = _policy_system(scheme, a, b)
+        if repeated or r <= round_off:
+            if phi is None:
+                phi = _bicgstab(system, np.ones(len(I)), 1e-4)
+            gap = _certify(scheme, u, datum, phi, 4.0 * r + round_off)
+            if gap is not None and gap < config.steady_tolerance:
+                return GridFunction(problem.grid, u, np.inf)
+            if gap is None or r > 0.5 * r_prev:
+                break
+        du = _bicgstab(system, res, 1e-12)
+        if not np.isfinite(du).all():
+            break
+        u[I] += du
+        r_prev = r
+    return GridFunction(problem.grid, _bracket(scheme, field, datum, config),
+                        np.inf)
+
+
+def _policy_system(scheme, a, b):
+    """x -> (I - A_ab) x on the interior, A_ab = (P_a + P_b) / 2 the rows of
+    each node's directions a and b, restricted to the interior columns."""
+    K = len(scheme.interior_flat)
+    k = np.arange(K)
+    M = scheme.operator.matrix
+    A = (0.5 * (M[a * K + k] + M[b * K + k]))[:, scheme.interior_flat]
+    return lambda x: x - A @ x
+
+
+def _bicgstab(matvec, rhs, rtol):
+    """Unpreconditioned BiCGSTAB for matvec(x) = rhs from x = 0, until the
+    residual's 2-norm falls below rtol |rhs| or after 1000 iterations."""
+    x, r = np.zeros_like(rhs), rhs.copy()
+    r0, p, v = rhs.copy(), np.zeros_like(rhs), np.zeros_like(rhs)
+    rho = alpha = omega = 1.0
+    stop = rtol * np.linalg.norm(rhs)
+    for _ in range(1000):
+        rho_new = r0 @ r
+        if np.linalg.norm(r) <= stop or rho_new == 0.0 or omega == 0.0:
+            break
+        p = r + (rho_new / rho) * (alpha / omega) * (p - omega * v)
+        v = matvec(p)
+        r0v = r0 @ v
+        if r0v == 0.0:
+            break
+        alpha = rho_new / r0v
+        s = r - alpha * v
+        t = matvec(s)
+        tt = t @ t
+        omega = (t @ s) / tt if tt > 0.0 else 0.0
+        x += alpha * p + omega * s
+        r = s - omega * t
+        rho = rho_new
+    return x
+
+
+def _certify(scheme, u, datum, phi, eps):
+    """max(hi - lo) for hi, lo = u +- eps phi on the interior if T(hi) <= hi
+    and T(lo) >= lo there (one apply of the pair), else None."""
+    I = scheme.interior_flat
+    pair = np.stack([u, u])
+    pair[0, I] += eps * phi
+    pair[1, I] -= eps * phi
+    W = scheme.operator.apply(pair, [datum, datum])[:scheme.n_kappa]
+    T = 0.5 * (W.max(axis=0) + W.min(axis=0))
+    if (T[:, 0] <= pair[0, I]).all() and (T[:, 1] >= pair[1, I]).all():
+        return float((pair[0] - pair[1]).max())
+    return None
+
+
+def _bracket(scheme, field, datum, config):
+    """Sweeps of T from the constant data minimum and maximum (boundary held
+    at g), one stack, until they are within steady_tolerance; the midpoint."""
+    I = scheme.interior_flat
+    U = np.stack([field.initial(), field.initial()])
+    U[0, I], U[1, I] = field.data_min, field.data_max
+    for _ in range(config.max_steps):
+        if (U[1] - U[0]).max() < config.steady_tolerance:
+            return 0.5 * (U[0] + U[1])
+        W = scheme.operator.apply(U, [datum, datum])[:scheme.n_kappa]
+        U[:, I] = 0.5 * (W.max(axis=0) + W.min(axis=0)).T
     raise SolverError(
-        f"steady iteration did not converge within max_steps={config.max_steps}")
+        f"steady bracket did not close within max_steps={config.max_steps}")
 
 
 # -- node-wise accessors matching the operation contracts -------------

@@ -99,6 +99,26 @@ def test_boundary_stability_equal_data_gives_zero_gap(line_problem):
     assert dict(report.measured)["sup_solution_gap"] == 0.0
 
 
+def test_boundary_stability_data_gap_covers_the_datum_it_reads():
+    # g1 - g2 vanishes at every node but not between them on the boundary
+    # faces, where a radius above the spacing clamps off-box flow targets:
+    # the node-wise data gap reads 0 while the solutions drift apart
+    grid = GridSpec(box=((0, 1), (0, 1)), cells=(4, 4), horizon=0.2)
+    g1 = ScalarField.from_expression("x1 + x2", 2)
+    g2 = g1 + ScalarField.from_expression(
+        "100*x1*(x1 - 0.25)*(x1 - 0.5)*(x1 - 0.75)*(x1 - 1)", 2)
+    problem = CauchyDirichletProblem(euclidean_group(2), grid, 1.0, g1, g1)
+    report = boundary_stability_experiment(
+        problem, SolverConfig(stencil_radius=0.4), g1, g2)
+    measured = dict(report.measured)
+    coords = grid.coords()
+    node_gap = float(np.abs(g1(coords, 0.0) - g2(coords, 0.0)).max())
+    assert node_gap <= 1e-12
+    assert measured["sup_solution_gap"] > 1e-3 + node_gap
+    assert measured["sup_data_gap"] >= measured["sup_solution_gap"]
+    assert report.passed
+
+
 def test_homogeneity_requires_h_above_one(line_problem):
     from dataclasses import replace
     with pytest.raises(PreconditionError, match="h > 1"):

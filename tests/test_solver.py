@@ -1,6 +1,9 @@
 """Monotone semi-Lagrangian scheme: stencil oracles, CFL, comparison,
 maximum principle, steady states."""
 
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carnotpde import solver
 from carnotpde.fields import ScalarField
 from carnotpde.grid import GridFunction, GridSpec
 from carnotpde.groups import engel_group, euclidean_group, heisenberg_group
@@ -318,10 +322,107 @@ def test_elliptic_steady_is_affine_in_1d():
     assert np.abs(steady.values - prob.grid.coords()[:, 0]).max() <= 1e-7
 
 
-def test_elliptic_steady_constant_datum():
+def _spy_on_bracket(monkeypatch):
+    """Record every call of the bracket fallback of solve_elliptic_steady."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return bracket(*args)
+
+    bracket = solver._bracket
+    monkeypatch.setattr(solver, "_bracket", spy)
+    return calls
+
+
+def _swept_bracket(prob, config):
+    """Sweeps of u <- (max + min of flow neighbors) / 2 from the constant
+    data minimum and maximum, boundary held at g: every pair of sweeps
+    brackets the elliptic fixed point, by monotonicity."""
+    scheme = Scheme(prob, config)
+    field = Binding(scheme, prob.g, prob.g, prob.h)
+    datum, interior = field.datum(0.0), scheme.interior_flat
+    lo, hi = field.initial(), field.initial()
+    lo[interior], hi[interior] = field.data_min, field.data_max
+    for _ in range(20_000):
+        if (hi - lo).max() < 1e-10:
+            break
+        for u in (lo, hi):
+            W = scheme.operator.apply(u, datum)[:scheme.n_kappa]
+            u[interior] = 0.5 * (W.max(axis=0) + W.min(axis=0))
+    return lo, hi
+
+
+def test_elliptic_steady_constant_datum(monkeypatch):
+    # every flow neighbor ties, so the policy certificate fails and the
+    # bracket from the constant data extremes is exact before any sweep
+    calls = _spy_on_bracket(monkeypatch)
     prob = make_problem(heisenberg_group(), ((-1, 1),) * 3, (6, 6, 6), 2.0, "3")
     steady = solve_elliptic_steady(prob, SolverConfig())
     assert np.abs(steady.values - 3.0).max() <= 1e-14
+    assert len(calls) == 1
+
+
+def test_elliptic_steady_is_certified_on_heisenberg(monkeypatch):
+    # non-affine g: the initial guess g is far from the fixed point, which
+    # the certified solve must land on, inside an independently swept bracket
+    calls = _spy_on_bracket(monkeypatch)
+    prob = make_problem(heisenberg_group(), ((-1, 1),) * 3, (8, 8, 8), 2.0,
+                        "x1*x2 - x3**2 + 0.3*x1")
+    config = SolverConfig(steady_tolerance=1e-8)
+    steady = solve_elliptic_steady(prob, config)
+    lo, hi = _swept_bracket(prob, config)
+    assert not calls
+    assert (hi - lo).max() < 1e-9
+    assert np.abs(steady.values - prob.g(prob.grid.coords(), 0.0)).max() > 0.1
+    assert (lo - config.steady_tolerance <= steady.values).all()
+    assert (steady.values <= hi + config.steady_tolerance).all()
+
+
+_STEADY_CASES = {"euclidean1": (euclidean_group(1), (24,)),
+                 "euclidean2": (euclidean_group(2), (8, 8)),
+                 "heisenberg": (heisenberg_group(), (6, 6, 6)),
+                 "engel": (engel_group(), (4, 4, 4, 4))}
+
+
+@pytest.mark.parametrize("name", sorted(_STEADY_CASES))
+@given(seed=st.integers(0, 2 ** 32 - 1), wide=st.booleans(),
+       samples=st.sampled_from([6, 8, 16]))
+@settings(max_examples=10, deadline=None)
+def test_elliptic_steady_lies_in_the_swept_bracket(name, seed, wide, samples):
+    G, cells = _STEADY_CASES[name]
+    rng = np.random.default_rng(seed)
+    n = G.total_dim
+    c = rng.uniform(-1.0, 1.0, 4)
+    expr = f"{c[0]}*x1 + {c[1]}*x{n}*x1 + {c[2]}*x{n}**2 + {c[3]}*x1**3"
+    prob = make_problem(G, ((-1, 1),) * n, cells, 2.0, expr)
+    config = SolverConfig(
+        direction_samples=samples, steady_tolerance=1e-8,
+        stencil_radius=rng.uniform(1.0, 2.0) * prob.grid.delta if wide else None)
+    steady = solve_elliptic_steady(prob, config)
+    lo, hi = _swept_bracket(prob, config)
+    assert (hi - lo).max() < 1e-9
+    assert (lo - config.steady_tolerance <= steady.values).all()
+    assert (steady.values <= hi + config.steady_tolerance).all()
+
+
+def test_elliptic_solve_imports_no_dense_or_iterative_scipy_solvers():
+    # scipy.linalg and scipy.sparse.linalg cost the process about 10 MB of
+    # resident memory; the steady solve carries its own Krylov iteration
+    script = (
+        "import sys\n"
+        "import carnotpde\n"
+        "from carnotpde import (CauchyDirichletProblem, GridSpec, ScalarField,\n"
+        "                       euclidean_group, solve_elliptic_steady)\n"
+        "g = ScalarField.from_expression('x1 + 0.5*x1*(1 - x1)', 1)\n"
+        "grid = GridSpec(box=((0, 1),), cells=(32,))\n"
+        "solve_elliptic_steady(CauchyDirichletProblem(euclidean_group(1), grid,\n"
+        "                                             2.0, g, g))\n"
+        "print(sorted({'scipy.linalg', 'scipy.sparse.linalg'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_parabolic_flow_approaches_elliptic_steady():

@@ -18,7 +18,7 @@ import sympy
 
 from . import groups
 from .expressions import coordinate_symbols
-from .fields import ScalarField, _H2
+from .fields import ScalarField, _H2, _wrap_lambdified_array
 
 
 @dataclass
@@ -185,16 +185,7 @@ def semi_horizontal_gradient(G, f, p, t=0.0):
 def symmetrized_hessian(G, f, p, t=0.0):
     """Symmetrized horizontal Hessian by direct vector-field composition."""
     if f.expr is not None:
-        fn = _symbolic_hessian_fn(G, f)
-        p = np.asarray(p, dtype=float)
-        args = [p[..., i] for i in range(G.total_dim)] + [t]
-        vals = fn(*args)
-        n1 = G.horizontal_dim
-        out = np.empty(p.shape[:-1] + (n1, n1), dtype=float)
-        for i in range(n1):
-            for j in range(n1):
-                out[..., i, j] = vals[i][j]
-        return out
+        return _symbolic_hessian_fn(G, f)(p, t)
     return _numeric_hessian(G, f, p, t)
 
 
@@ -218,7 +209,9 @@ def _symbolic_hessian_fn(G, f):
         entries = [[sympy.expand((apply_field(i, firsts[j])
                                   + apply_field(j, firsts[i])) / 2)
                     for j in range(n1)] for i in range(n1)]
-        cache[key] = sympy.lambdify(f._symbols, entries, modules="numpy")
+        cache[key] = _wrap_lambdified_array(
+            sympy.lambdify(f._symbols, entries, modules="numpy"),
+            G.total_dim, (n1, n1))
     return cache[key]
 
 

@@ -31,27 +31,25 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    group: object
-    grid: GridSpec
-    h: float
-    psi: ScalarField
-    g: ScalarField
+    problem: CauchyDirichletProblem
+    solver: SolverConfig
     experiments: list
     output_dir: str
-    cfl_factor: float
-    steady_tolerance: float
     seed: int
     snapshot_times: list
-    direction_samples: int
 
-    def problem(self):
-        return CauchyDirichletProblem(self.group, self.grid, self.h,
-                                      self.psi, self.g)
 
-    def solver_config(self):
-        return SolverConfig(cfl_factor=self.cfl_factor,
-                            steady_tolerance=self.steady_tolerance,
-                            direction_samples=self.direction_samples)
+_SOLVER_KEYS = {"cfl_factor": float, "steady_tolerance": float,
+                "direction_samples": int}
+_KEYS = {"group", "box", "cells", "h", "T", "psi", "g", "experiments",
+         "output_dir", "seed", "snapshot_times", *_SOLVER_KEYS}
+_GROUP_KEYS = {"layers", "brackets", "label"}
+
+
+def _reject_unknown(data, known, where):
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ConfigError(f"unknown keys {where}: {', '.join(unknown)}")
 
 
 def _require(data, key, kind):
@@ -75,11 +73,13 @@ def parse_config(text):
         ) from None
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
+    _reject_unknown(data, _KEYS, "in the configuration")
 
     spec = data.get("group", "euclidean1")
     if isinstance(spec, str):
         group = group_preset(spec)
     elif isinstance(spec, dict):
+        _reject_unknown(spec, _GROUP_KEYS, "in the group spec")
         group = make_group(spec.get("layers", ()),
                            [tuple(b) for b in spec.get("brackets", ())],
                            label=spec.get("label", "custom"))
@@ -113,16 +113,14 @@ def parse_config(text):
     if unknown:
         raise ConfigError(f"unknown experiments: {', '.join(unknown)}")
 
-    snapshot_times = [float(s) for s in data.get("snapshot_times", [horizon])]
     return RunConfig(
-        group=group, grid=grid, h=h, psi=psi, g=g,
+        problem=CauchyDirichletProblem(group, grid, h, psi, g),
+        solver=SolverConfig(**{key: kind(data[key])
+                               for key, kind in _SOLVER_KEYS.items() if key in data}),
         experiments=list(experiments),
         output_dir=data.get("output_dir", "."),
-        cfl_factor=float(data.get("cfl_factor", 0.5)),
-        steady_tolerance=float(data.get("steady_tolerance", 1e-8)),
         seed=int(data.get("seed", 0)),
-        snapshot_times=snapshot_times,
-        direction_samples=int(data.get("direction_samples", 16)),
+        snapshot_times=[float(s) for s in data.get("snapshot_times", [horizon])],
     )
 
 
@@ -140,8 +138,8 @@ def export_snapshot_csv(snapshot, path):
 
 
 def run_solve(config, out_dir, quiet):
-    problem = config.problem()
-    result = solve_parabolic(problem, config.solver_config(),
+    problem = config.problem
+    result = solve_parabolic(problem, config.solver,
                              snapshot_times=config.snapshot_times)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -152,7 +150,7 @@ def run_solve(config, out_dir, quiet):
         "h": problem.h,
         "delta": problem.grid.delta,
         "dt": result.dt_last,
-        "cfl_factor": config.cfl_factor,
+        "cfl_factor": config.solver.cfl_factor,
         "steps": result.steps,
         "snapshots": [s.time_level for s in result.snapshots],
     }
@@ -166,15 +164,13 @@ def run_solve(config, out_dir, quiet):
 
 
 def run_verify(config, out_dir, quiet):
-    problem = config.problem()
-    solver_config = config.solver_config()
     rng = np.random.default_rng(config.seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ledger = out / "results.jsonl"
     all_passed = True
     for name in config.experiments:
-        report = run_experiment(name, problem, solver_config, rng)
+        report = run_experiment(name, config.problem, config.solver, rng)
         append_to_ledger(report, ledger)
         all_passed = all_passed and report.passed
         if not quiet:

@@ -217,7 +217,8 @@ def long_time_experiment(problem, config, n_pairs=8):
     # March to the steady regime, capturing at geometrically spaced times
     # (ratio 2^(1/4), so adjacent captures satisfy tau <= t/4), until the sup
     # change per unit time between captures falls below steady_tolerance/10.
-    stack = Stack.of(Scheme(problem, config), problem, config)
+    scheme = Scheme(problem, config)
+    stack = Stack.of(scheme, problem, config)
     data_sup = float(np.abs(stack.U).max())
     caps = itertools.accumulate(itertools.repeat(2.0 ** 0.25), mul,
                                 initial=8.0 * stack.cfl_dt(config)[0])
@@ -246,7 +247,7 @@ def long_time_experiment(problem, config, n_pairs=8):
         worst_ratio = max(worst_ratio, diff / (1.5 * decay))
     measured.append(("worst_increment_over_bound", worst_ratio))
     decay_ok = worst_ratio <= 1.0
-    steady = solve_elliptic_steady(problem, config)
+    steady = solve_elliptic_steady(problem, config, scheme=scheme)
     steady_gap = float(np.abs(u_final - steady.values).max())
 
     coords = problem.grid.coords()
@@ -270,10 +271,12 @@ def h_limit_experiment(problem, config, h_sequence=(2.0, 1.5, 1.25, 1.1)):
         raise PreconditionError("h_sequence must stay strictly above 1")
     if any(b >= a for a, b in itertools.pairwise(h_sequence)):
         raise PreconditionError("h_sequence must decrease toward 1")
-    reference = solve_parabolic(replace(problem, h=1.0), config).final
+    scheme = Scheme(problem, config)
+    reference = solve_parabolic(replace(problem, h=1.0), config, scheme=scheme).final
     gaps = []
     for hh in h_sequence:
-        final = solve_parabolic(replace(problem, h=float(hh)), config).final
+        final = solve_parabolic(replace(problem, h=float(hh)), config,
+                                scheme=scheme).final
         gaps.append(float(np.abs(final.values - reference.values).max()))
     monotone = all(b <= a + 1e-3 for a, b in itertools.pairwise(gaps))
     bound = 5.0 * problem.grid.delta
@@ -289,9 +292,10 @@ def commuting_diagram_experiment(problem, config):
     """Large-time limit of the h -> 1 flow versus the elliptic fixed point:
     the two limit operations land on the same field."""
     elapsed = _timer()
-    flow_problem = replace(problem, h=1.0)
-    result, t_large = solve_to_steady(flow_problem, config)
-    steady = solve_elliptic_steady(problem, config)
+    scheme = Scheme(problem, config)
+    result, t_large = solve_to_steady(replace(problem, h=1.0), config,
+                                      scheme=scheme)
+    steady = solve_elliptic_steady(problem, config, scheme=scheme)
     gap = float(np.abs(result.final.values - steady.values).max())
     bound = 5.0 * problem.grid.delta
     return ExperimentReport(

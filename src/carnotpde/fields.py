@@ -69,7 +69,7 @@ class ScalarField:
             if self._grad_fn is None:
                 grads = [sympy.diff(self.expr, s) for s in self._symbols[:-1]]
                 fn = sympy.lambdify(self._symbols, grads, modules="numpy")
-                self._grad_fn = _wrap_lambdified_vector(fn, self.dim)
+                self._grad_fn = _wrap_lambdified_array(fn, self.dim, (self.dim,))
             return self._grad_fn(coords, t)
         out = np.empty(coords.shape, dtype=float)
         for i in range(self.dim):
@@ -90,7 +90,7 @@ class ScalarField:
                 xs = self._symbols[:-1]
                 rows = [[sympy.diff(self.expr, a, b) for b in xs] for a in xs]
                 fn = sympy.lambdify(self._symbols, rows, modules="numpy")
-                self._hess_fn = _wrap_lambdified_matrix(fn, n)
+                self._hess_fn = _wrap_lambdified_array(fn, n, (n, n))
             return self._hess_fn(coords, t)
         out = np.empty(coords.shape + (n,), dtype=float)
         base = self(coords, t)
@@ -167,26 +167,18 @@ def _wrap_lambdified(fn, dim):
     return call
 
 
-def _wrap_lambdified_vector(fn, dim):
+def _wrap_lambdified_array(fn, dim, shape):
+    """A lambdified nested list of entries of the given shape, evaluated to
+    an array of shape (..., *shape)."""
     def call(coords, t):
         coords = np.asarray(coords, dtype=float)
         args = [coords[..., i] for i in range(dim)] + [t]
         vals = fn(*args)
-        out = np.empty(coords.shape[:-1] + (dim,), dtype=float)
-        for i in range(dim):
-            out[..., i] = vals[i]
-        return out
-    return call
-
-
-def _wrap_lambdified_matrix(fn, dim):
-    def call(coords, t):
-        coords = np.asarray(coords, dtype=float)
-        args = [coords[..., i] for i in range(dim)] + [t]
-        vals = fn(*args)
-        out = np.empty(coords.shape[:-1] + (dim, dim), dtype=float)
-        for i in range(dim):
-            for j in range(dim):
-                out[..., i, j] = vals[i][j]
+        out = np.empty(coords.shape[:-1] + shape, dtype=float)
+        for index in np.ndindex(shape):
+            entry = vals
+            for i in index:
+                entry = entry[i]
+            out[(...,) + index] = entry
         return out
     return call

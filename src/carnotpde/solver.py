@@ -144,7 +144,7 @@ class Scheme:
         else:
             self.interior_flat = np.asarray(node_subset, dtype=np.int64)
             if self.lateral[self.interior_flat].any():
-                raise ValueError("node subset must consist of interior nodes")
+                raise ValueError("node subset must lie off the parabolic boundary")
         self.coords_interior = self.coords[self.interior_flat]
         self.coords_lateral = self.coords[self.lateral]
         n1 = G.horizontal_dim
@@ -259,10 +259,10 @@ class Binding:
 
 class Stack:
     """A (B, nodes) stack of fields bound to one geometry, as ``march``
-    leaves it after its latest step.  U defaults to each field's initial
-    values; a given U is copied as it is."""
+    leaves it after its latest step.  It starts at t = 0 from U, each
+    field's initial values by default; a given U is copied as it is."""
 
-    def __init__(self, fields, U=None, t=0.0):
+    def __init__(self, fields, U=None):
         self.fields = list(fields)
         self.scheme = self.fields[0].scheme
         if any(f.scheme is not self.scheme for f in self.fields):
@@ -271,14 +271,14 @@ class Stack:
                   else np.array(U, dtype=float, ndmin=2))
         for f, row in zip(self.fields, self.U):
             f.record(row)
-        self.t, self.steps, self.dt, self.cfl = t, 0, 0.0, None
+        self.t, self.steps, self.dt, self.cfl = 0.0, 0, 0.0, None
         self.at_stop = False              # the latest step landed on a stop
         self.max_principle_ok = True      # every step inside the data envelope
 
     @classmethod
-    def of(cls, scheme, problem, config=None, U=None, t=0.0):
-        """The one-field stack of a problem."""
-        return cls([Binding(scheme, problem.psi, problem.g, problem.h, config)], U, t)
+    def of(cls, scheme, problem, config=None):
+        """The one-field stack of a problem at its initial data."""
+        return cls([Binding(scheme, problem.psi, problem.g, problem.h, config)])
 
     def cfl_dt(self, config):
         """Each field's CFL step at the stack's current values."""
@@ -335,15 +335,19 @@ class SolveResult:
 def solve_parabolic(problem, config=None, snapshot_times=None, scheme=None):
     """March from the initial datum to the horizon, collecting snapshots.
 
-    Snapshot times must be reachable; the step is trimmed to land on them
-    exactly and on the horizon.
+    Snapshot times must be distinct and lie in [0, horizon]; the step is
+    trimmed to land on them exactly and on the horizon.
     """
     config = config or SolverConfig()
     scheme = scheme or Scheme(problem, config)
     grid = problem.grid
     times = sorted(snapshot_times) if snapshot_times else [grid.horizon]
+    if times[0] < 0.0:
+        raise ValueError("snapshot time before t = 0")
     if times[-1] > grid.horizon + 1e-12:
         raise ValueError("snapshot time beyond the horizon")
+    if len(set(times)) < len(times):
+        raise ValueError("repeated snapshot time")
     stack = Stack.of(scheme, problem, config)
     snapshots = []
     if times[0] <= 1e-14:
@@ -355,11 +359,9 @@ def solve_parabolic(problem, config=None, snapshot_times=None, scheme=None):
     return SolveResult.of(stack, snapshots)
 
 
-def solve_to_steady(problem, config=None, rate_tol=None, check_every=25,
-                    scheme=None, t_cap=None):
-    """March until the sup change per unit time over ``check_every`` steps
-    falls below ``rate_tol`` (default: steady_tolerance / 10).  Returns
-    (SolveResult, t_large).
+def solve_to_steady(problem, config=None, scheme=None):
+    """March until the sup change per unit time over 25 steps falls below
+    steady_tolerance / 10.  Returns (SolveResult, t_large).
 
     The rate stop certifies only that rate: the flow approaches its limit
     ever more slowly, so a small sup change per unit time does not bound the
@@ -367,13 +369,12 @@ def solve_to_steady(problem, config=None, rate_tol=None, check_every=25,
     the fixed point with a certified error."""
     config = config or SolverConfig()
     scheme = scheme or Scheme(problem, config)
-    rate_tol = rate_tol if rate_tol is not None else config.steady_tolerance / 10.0
     stack = Stack.of(scheme, problem, config)
     ref, t_ref = stack.U.copy(), stack.t
     for _ in march(stack, config):
-        if stack.steps % check_every == 0:
+        if stack.steps % 25 == 0:
             rate = float(np.abs(stack.U - ref).max()) / (stack.t - t_ref)
-            if rate < rate_tol or (t_cap is not None and stack.t >= t_cap):
+            if rate < config.steady_tolerance / 10.0:
                 break
             ref, t_ref = stack.U.copy(), stack.t
     snap = GridFunction(problem.grid, stack.U[0], stack.t)
@@ -498,62 +499,3 @@ def _bracket(scheme, field, datum, config):
         U[:, I] = 0.5 * (W.max(axis=0) + W.min(axis=0)).T
     raise SolverError(
         f"steady bracket did not close within max_steps={config.max_steps}")
-
-
-# -- node-wise accessors matching the operation contracts -------------
-
-
-def _flat_index(grid, node):
-    if np.isscalar(node):
-        return int(node)
-    return int(np.ravel_multi_index(tuple(int(i) for i in node), grid.shape))
-
-
-def _at_node(problem, config, node):
-    """The one-node geometry of an interior node, and its one-field stack."""
-    flat = _flat_index(problem.grid, node)
-    if problem.grid.lateral_mask()[flat]:
-        raise ValueError("node is on the parabolic boundary")
-    scheme = Scheme(problem, config, node_subset=[flat])
-    return scheme, Stack.of(scheme, problem, config)
-
-
-def discrete_gradient(problem, u, node, config=None):
-    """Horizontal central-difference gradient at one node."""
-    scheme, stack = _at_node(problem, config, node)
-    W = scheme.operator.apply(u.values[None], [stack.fields[0].datum(u.time_level)])
-    return np.array([d[0, 0] for d in scheme.gradient(W)])
-
-
-def directional_second_difference(problem, u, node, eta):
-    """Symmetric second difference along one horizontal flow direction."""
-    G, grid = problem.group, problem.grid
-    delta = grid.delta
-    flat = _flat_index(grid, node)
-    p = grid.coords()[flat][None, :]
-    eta = np.asarray(eta, dtype=float)
-    moves = [groups.embed_horizontal(G, s * delta * eta) for s in (1.0, -1.0)]
-    op = build_stencil(grid, [groups.multiply(G, p, move) for move in moves])
-    W = op.apply(u.values, op.datum(problem.g, u.time_level))[:, 0]
-    return float((W[0] - 2.0 * u.values[flat] + W[1]) / delta ** 2)
-
-
-def discrete_operator(problem, config, u, node):
-    """Speed times median curvature at one node."""
-    scheme, stack = _at_node(problem, config, node)
-    op, _ = scheme.discrete_operator(u.values[None], u.time_level, stack.fields)
-    return float(op[0, 0])
-
-
-def cfl_dt(problem, config, u):
-    """The CFL step a march takes from u."""
-    stack = Stack.of(Scheme(problem, config), problem, config, u.values, u.time_level)
-    return stack.cfl_dt(config)[0]
-
-
-def step(problem, config, u):
-    """One march step from u."""
-    scheme = Scheme(problem, config)
-    stack = Stack.of(scheme, problem, config, u.values, u.time_level)
-    next(march(stack, config))
-    return GridFunction(problem.grid, stack.U[0], stack.t)

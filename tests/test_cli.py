@@ -8,6 +8,7 @@ import pytest
 from carnotpde import cli
 from carnotpde.cli import ConfigError, list_experiments, main, parse_config
 from carnotpde.experiments import ExperimentReport
+from carnotpde.solver import SolverConfig
 
 MINIMAL = {
     "group": "euclidean1",
@@ -33,10 +34,29 @@ def write_config(tmp_path, **overrides):
 
 def test_minimal_config_parses():
     config = parse_config(json.dumps(MINIMAL))
-    assert config.group.label == "euclidean1"
-    assert config.grid.cells == (16,)
-    assert config.h == 3.0
-    assert config.psi(np.array([[0.5]]))[0] == pytest.approx(0.25)
+    assert config.problem.group.label == "euclidean1"
+    assert config.problem.grid.cells == (16,)
+    assert config.problem.h == 3.0
+    assert config.problem.psi(np.array([[0.5]]))[0] == pytest.approx(0.25)
+    assert config.solver == SolverConfig()
+
+
+def test_solver_keys_reach_the_solver_config():
+    config = parse_config(json.dumps(dict(
+        MINIMAL, cfl_factor=0.25, steady_tolerance=1e-6, direction_samples=8)))
+    assert config.solver == SolverConfig(cfl_factor=0.25, steady_tolerance=1e-6,
+                                         direction_samples=8)
+
+
+def test_unknown_keys_are_named():
+    with pytest.raises(ConfigError, match="cfl, stencil_radius"):
+        parse_config(json.dumps(dict(MINIMAL, cfl=0.1, stencil_radius=5.0)))
+    cfg = dict(MINIMAL,
+               group={"layers": [2, 1], "brackets": [[0, 1, 2, 1.0]],
+                      "lable": "typo"},
+               box=[[-1, 1]] * 3, cells=[4] * 3, psi="x3", g="x3")
+    with pytest.raises(ConfigError, match="group spec: lable"):
+        parse_config(json.dumps(cfg))
 
 
 def test_malformed_json_reports_line_and_column():
@@ -67,8 +87,8 @@ def test_custom_group_spec():
                       "label": "my-heisenberg"},
                box=[[-1, 1]] * 3, cells=[4] * 3, psi="x3", g="x3")
     config = parse_config(json.dumps(cfg))
-    assert config.group.label == "my-heisenberg"
-    assert config.group.step == 2
+    assert config.problem.group.label == "my-heisenberg"
+    assert config.problem.group.step == 2
 
 
 def test_bad_custom_group_delegates_to_validation():

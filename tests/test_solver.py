@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from carnotpde import solver
 from carnotpde.fields import ScalarField
-from carnotpde.grid import GridFunction, GridSpec
+from carnotpde.grid import GridSpec
 from carnotpde.groups import engel_group, euclidean_group, heisenberg_group
 from carnotpde.solver import (
     Binding,
@@ -24,16 +24,11 @@ from carnotpde.solver import (
     SolverError,
     Stack,
     _norm,
-    cfl_dt,
     direction_set,
-    directional_second_difference,
-    discrete_gradient,
-    discrete_operator,
     march,
     solve_elliptic_steady,
     solve_parabolic,
     solve_to_steady,
-    step,
 )
 
 
@@ -44,9 +39,30 @@ def make_problem(group, box, cells, h, psi_expr, g_expr=None, horizon=0.1):
     return CauchyDirichletProblem(group, grid, h, psi, g)
 
 
-def sample(problem, t=0.0):
-    grid = problem.grid
-    return GridFunction(grid, problem.psi(grid.coords(), t), t)
+def at_node(problem, node, config=None):
+    """The one-node geometry of an interior node, the one-field stack of the
+    problem's initial data on it, and one operator apply of that stack."""
+    flat = int(np.ravel_multi_index(node, problem.grid.shape))
+    scheme = Scheme(problem, config, node_subset=[flat])
+    stack = Stack.of(scheme, problem, config)
+    W = scheme.operator.apply(stack.U, [stack.fields[0].datum(0.0)])
+    return scheme, stack, W
+
+
+def gradient_at(problem, node, config=None):
+    scheme, _, W = at_node(problem, node, config)
+    return np.array([d[0, 0] for d in scheme.gradient(W)])
+
+
+def second_difference(problem, node, eta):
+    """Symmetric second difference along eta, a direction of the default
+    set, from the apply rows of its antipodal pair."""
+    scheme, stack, W = at_node(problem, node)
+    eta = np.asarray(eta, dtype=float)
+    rows = [int(np.abs(scheme.directions - v).max(axis=1).argmin()) for v in (eta, -eta)]
+    assert np.abs(scheme.directions[rows] - [eta, -eta]).max() < 1e-12
+    u = stack.U[0, scheme.interior_flat[0]]
+    return float((W[rows[0], 0, 0] + W[rows[1], 0, 0] - 2.0 * u) / scheme.delta ** 2)
 
 
 # -- configuration and setup -----------------------------------------
@@ -115,7 +131,7 @@ def test_row_norms_match_numpy_norm():
 def test_discrete_gradient_exact_for_affine():
     prob = make_problem(euclidean_group(2), ((0, 1), (0, 1)), (8, 8), 2.0,
                         "3*x1 - 2*x2 + 1")
-    grad = discrete_gradient(prob, sample(prob), (4, 4))
+    grad = gradient_at(prob, (4, 4))
     assert np.allclose(grad, [3.0, -2.0], atol=1e-13)
 
 
@@ -130,66 +146,74 @@ def test_discrete_gradient_vertical_coordinate_on_heisenberg():
     # lack +-e_2, which the operator appends after them
     for samples in (6, 16):
         config = SolverConfig(direction_samples=samples)
-        grad = discrete_gradient(prob, sample(prob), node, config)
+        grad = gradient_at(prob, node, config)
         assert np.allclose(grad, [-2.0, 1.0], atol=1e-10)
 
 
 def test_discrete_gradient_zero_for_constant():
     prob = make_problem(heisenberg_group(), ((-1, 1),) * 3, (6, 6, 6), 2.0, "7")
-    assert np.abs(discrete_gradient(prob, sample(prob), (3, 3, 3))).max() == 0.0
+    assert np.abs(gradient_at(prob, (3, 3, 3))).max() == 0.0
 
 
 def test_discrete_gradient_rejects_boundary_node():
     prob = make_problem(euclidean_group(1), ((0, 1),), (8,), 2.0, "x1")
     with pytest.raises(ValueError, match="boundary"):
-        discrete_gradient(prob, sample(prob), (0,))
+        gradient_at(prob, (0,))
 
 
 def test_second_difference_oracles():
     prob1 = make_problem(euclidean_group(1), ((0, 2),), (16,), 3.0, "x1**2")
-    val = directional_second_difference(prob1, sample(prob1), (8,), [1.0])
+    val = second_difference(prob1, (8,), [1.0])
     assert val == pytest.approx(2.0, abs=1e-10)
 
+    # a direction of the 16-sample set off the axes
     aff = make_problem(euclidean_group(2), ((0, 1), (0, 1)), (8, 8), 2.0,
                        "x1 - 4*x2")
-    assert directional_second_difference(
-        aff, sample(aff), (4, 4), [0.6, 0.8]) == pytest.approx(0.0, abs=1e-12)
+    eta = [np.cos(3 * np.pi / 8), np.sin(3 * np.pi / 8)]
+    assert second_difference(aff, (4, 4), eta) == pytest.approx(0.0, abs=1e-12)
 
     heis = make_problem(heisenberg_group(), ((-1, 1),) * 3, (16, 16, 16), 2.0,
                         "x1*x2")
     eta = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    val = directional_second_difference(heis, sample(heis), (8, 8, 8), eta)
+    val = second_difference(heis, (8, 8, 8), eta)
     # oracle: <(D^2 u)* eta, eta> with (D^2 u)* = [[0,1],[1,0]]
     assert val == pytest.approx(1.0, abs=5 * heis.grid.delta)
 
 
 def test_discrete_operator_oracles():
     config = SolverConfig()
+
+    def operator_at(problem, node):
+        scheme, stack, _ = at_node(problem, node, config)
+        return float(scheme.discrete_operator(stack.U, stack.t, stack.fields)[0][0, 0])
+
     flat = make_problem(euclidean_group(2), ((0, 1), (0, 1)), (8, 8), 3.0, "5")
-    assert discrete_operator(flat, config, sample(flat), (4, 4)) == 0.0
+    assert operator_at(flat, (4, 4)) == 0.0
 
     aff = make_problem(heisenberg_group(), ((-1, 1),) * 3, (8, 8, 8), 2.0,
                        "x1 + 2*x2")
-    assert discrete_operator(aff, config, sample(aff),
-                             (4, 4, 4)) == pytest.approx(0.0, abs=1e-11)
+    assert operator_at(aff, (4, 4, 4)) == pytest.approx(0.0, abs=1e-11)
 
     sq = make_problem(euclidean_group(1), ((0, 2),), (32,), 3.0, "x1**2")
-    val = discrete_operator(sq, config, sample(sq), (16,))
+    val = operator_at(sq, (16,))
     assert val == pytest.approx(8.0, abs=10 * sq.grid.delta)
 
 
 def test_cfl_values():
     config = SolverConfig(cfl_factor=0.5)
+
+    def cfl_dt(problem):
+        return Stack.of(Scheme(problem, config), problem, config).cfl_dt(config)[0]
+
     h1 = make_problem(euclidean_group(1), ((0, 1),), (8,), 1.0, "x1")
     delta = h1.grid.delta
-    assert cfl_dt(h1, config, sample(h1)) == pytest.approx(0.5 * delta ** 2 / 2)
+    assert cfl_dt(h1) == pytest.approx(0.5 * delta ** 2 / 2)
 
     const = make_problem(euclidean_group(1), ((0, 1),), (8,), 3.0, "2")
-    assert cfl_dt(const, config, sample(const)) == pytest.approx(0.5 * delta ** 2 / 2)
+    assert cfl_dt(const) == pytest.approx(0.5 * delta ** 2 / 2)
 
     steep = make_problem(euclidean_group(1), ((0, 1),), (8,), 3.0, "2*x1")
-    assert cfl_dt(steep, config, sample(steep)) == pytest.approx(
-        0.5 * delta ** 2 / 8)
+    assert cfl_dt(steep) == pytest.approx(0.5 * delta ** 2 / 8)
 
 
 def test_node_subset_matches_full_evaluation():
@@ -241,12 +265,13 @@ def test_one_step_preserves_affine_data_away_from_the_boundary(G, expr):
     # lateral faces; strictly interior nodes update exactly
     prob = make_problem(G, ((-1, 1),) * G.total_dim, (8,) * G.total_dim, 2.0, expr)
     config = SolverConfig()
-    u = sample(prob)
-    new = step(prob, config, u)
+    stack = Stack.of(Scheme(prob, config), prob, config)
+    u = stack.U[0].copy()
+    new = next(march(stack, config)).U[0]
     coords = prob.grid.coords()
     margin = 2.5 * prob.grid.delta
     safe = np.all((coords > -1 + margin) & (coords < 1 - margin), axis=1)
-    assert np.abs(new.values[safe] - u.values[safe]).max() <= 1e-12
+    assert np.abs(new[safe] - u[safe]).max() <= 1e-12
 
 
 def test_constant_data_is_global_fixed_point():
@@ -311,6 +336,17 @@ def test_snapshot_times_are_hit_exactly():
         [0.0, 0.03, 0.1], abs=1e-12)
     with pytest.raises(ValueError, match="horizon"):
         solve_parabolic(prob, SolverConfig(), snapshot_times=[0.2])
+
+
+def test_snapshot_times_below_zero_or_repeated_are_rejected():
+    # neither may turn into a relabelled t = 0 snapshot or a zero-length step
+    prob = make_problem(euclidean_group(1), ((0, 1),), (16,), 2.0, "x1**2",
+                        horizon=0.1)
+    for times, match in (([-0.5, 0.01, 0.02], "t = 0"),
+                         ([0.01, 0.01, 0.02], "repeated"),
+                         ([0.0, 0.0], "repeated")):
+        with pytest.raises(ValueError, match=match):
+            solve_parabolic(prob, SolverConfig(), snapshot_times=times)
 
 
 # -- steady states ---------------------------------------------------

@@ -10,6 +10,7 @@ configuration or runtime error, 2 at least one experiment failed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -44,12 +45,20 @@ _SOLVER_KEYS = {"cfl_factor": float, "steady_tolerance": float,
 _KEYS = {"group", "box", "cells", "h", "T", "psi", "g", "experiments",
          "output_dir", "seed", "snapshot_times", *_SOLVER_KEYS}
 _GROUP_KEYS = {"layers", "brackets", "label"}
+CSV_BLOCK_ROWS = 4096      # rows formatted and written per write call
 
 
 def _reject_unknown(data, known, where):
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown keys {where}: {', '.join(unknown)}")
+
+
+def _integer(value, key):
+    """An integral number (16 or 16.0) as an int; 16.5, true or "16" raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
+    return int(value)
 
 
 def _require(data, key, kind):
@@ -80,18 +89,17 @@ def parse_config(text):
         group = group_preset(spec)
     elif isinstance(spec, dict):
         _reject_unknown(spec, _GROUP_KEYS, "in the group spec")
-        group = make_group(spec.get("layers", ()),
+        group = make_group([_integer(d, "layers") for d in spec.get("layers", ())],
                            [tuple(b) for b in spec.get("brackets", ())],
                            label=spec.get("label", "custom"))
     else:
         raise ConfigError("'group' must be a preset name or a custom spec object")
 
     box = _require(data, "box", list)
-    cells = _require(data, "cells", list)
+    cells = [_integer(c, "cells") for c in _require(data, "cells", list)]
     h = _require(data, "h", float)
     if h < 1.0:
-        raise ConfigError(
-            f"h = {h} violates the homogeneity constraint h >= 1")
+        raise ConfigError(f"h = {h} violates the homogeneity constraint h >= 1")
     horizon = float(data.get("T", 1.0))
     grid = GridSpec(box=tuple(tuple(b) for b in box), cells=tuple(cells),
                     horizon=horizon)
@@ -109,17 +117,20 @@ def parse_config(text):
             raise ConfigError(f"expression '{name}' is not finite on the box")
 
     experiments = data.get("experiments", sorted(EXPERIMENTS))
+    if not isinstance(experiments, list):
+        raise ConfigError("'experiments' must be a list of experiment names")
     unknown = [e for e in experiments if e not in EXPERIMENTS]
     if unknown:
         raise ConfigError(f"unknown experiments: {', '.join(unknown)}")
 
     return RunConfig(
         problem=CauchyDirichletProblem(group, grid, h, psi, g),
-        solver=SolverConfig(**{key: kind(data[key])
-                               for key, kind in _SOLVER_KEYS.items() if key in data}),
-        experiments=list(experiments),
+        solver=SolverConfig(**{
+            key: _integer(data[key], key) if kind is int else kind(data[key])
+            for key, kind in _SOLVER_KEYS.items() if key in data}),
+        experiments=experiments,
         output_dir=data.get("output_dir", "."),
-        seed=int(data.get("seed", 0)),
+        seed=_integer(data.get("seed", 0), "seed"),
         snapshot_times=[float(s) for s in data.get("snapshot_times", [horizon])],
     )
 
@@ -127,14 +138,16 @@ def parse_config(text):
 def export_snapshot_csv(snapshot, path):
     """One node per line, lexicographic order, fixed column layout."""
     grid = snapshot.grid
-    coords = grid.coords()
     header = ",".join([f"axis_{i}" for i in range(grid.ndim)] + ["t", "u"])
+    columns = [[f"{c:.17g}," for c in axis] for axis in grid.axes()]
+    columns.append([f"{snapshot.time_level:.17g},"])
+    prefixes = map("".join, itertools.product(*columns))
     with open(path, "w") as handle:
         handle.write(header + "\n")
-        t = snapshot.time_level
-        for row, value in zip(coords, snapshot.values):
-            cells = [f"{c:.17g}" for c in row] + [f"{t:.17g}", f"{value:.17g}"]
-            handle.write(",".join(cells) + "\n")
+        for start in range(0, grid.node_count, CSV_BLOCK_ROWS):
+            block = snapshot.values[start:start + CSV_BLOCK_ROWS].tolist()
+            handle.write("".join([f"{prefix}{u:.17g}\n"
+                                  for u, prefix in zip(block, prefixes)]))
 
 
 def run_solve(config, out_dir, quiet):

@@ -67,14 +67,9 @@ class GridSpec:
 
     def lateral_mask(self):
         """Flat boolean mask of nodes on the spatial boundary faces."""
-        mask = np.zeros(self.shape, dtype=bool)
-        for axis in range(self.ndim):
-            index = [slice(None)] * self.ndim
-            index[axis] = 0
-            mask[tuple(index)] = True
-            index[axis] = -1
-            mask[tuple(index)] = True
-        return mask.ravel()
+        interior = np.zeros(self.shape, dtype=bool)
+        interior[(slice(1, -1),) * self.ndim] = True
+        return ~interior.ravel()
 
 
 @dataclass
@@ -146,40 +141,41 @@ class StencilOperator:
 
 def build_stencil(grid, target_list):
     """The StencilOperator of a sequence of (K, N) target arrays, one per
-    direction, built one direction at a time."""
-    lo = np.array([a for a, _ in grid.box])
-    hi = np.array([b for _, b in grid.box])
-    tol = 1e-10 * (hi - lo)
+    direction, built one direction at a time and column-major: each axis's
+    steps run on a contiguous (K,) row of the (N, K) coordinates."""
+    lo, hi = np.array(grid.box).T
+    spacings = grid.spacings
     N = grid.ndim
-    strides = np.ones(N, dtype=np.int64)
-    for axis in range(N - 2, -1, -1):
-        strides[axis] = strides[axis + 1] * grid.shape[axis + 1]
+    strides = np.cumprod((grid.shape[1:] + (1,))[::-1])[::-1]      # row-major nodes
     bits = (np.arange(2 ** N)[:, None] >> np.arange(N - 1, -1, -1)) & 1
-    offsets = bits @ strides
+    offsets = (bits @ strides).astype(np.int32)[:, None]    # corner c, axis 0 its top bit
 
     data, indices, counts, outside, clamped = [], [], [], [], []
     rows = 0
     for targets in target_list:
-        targets = np.asarray(targets, dtype=float)
-        inside = np.all((targets >= lo - tol) & (targets <= hi + tol), axis=1)
-        clipped = np.clip(targets, lo, hi)
-        pos = (clipped - lo) / grid.spacings
-        cell = np.clip(np.floor(pos).astype(np.int64), 0, np.array(grid.cells) - 1)
-        frac = np.minimum(pos - cell, 1.0)      # pos can round past the upper face
-        corners = (cell @ strides)[:, None] + offsets
-        # corner weights multiplied axis by axis, in np.prod's order
-        weights = np.ones((2 ** N, len(targets)))
+        x = np.ascontiguousarray(np.asarray(targets, dtype=float).T)   # (N, K)
+        K = x.shape[1]
+        inside, base, weights = np.ones(K, bool), np.zeros(K, np.int64), np.ones((1, K))
         for axis in range(N):
-            weights *= np.where(bits[:, axis, None] == 1, frac[:, axis],
-                                1.0 - frac[:, axis])
-        weights = weights.T
-        keep = (weights != 0.0) & inside[:, None]
-        data.append(weights[keep])
-        indices.append(corners[keep].astype(np.int32))
-        counts.append(keep.sum(axis=1))
+            tol = 1e-10 * (hi[axis] - lo[axis])
+            inside &= (x[axis] >= lo[axis] - tol) & (x[axis] <= hi[axis] + tol)
+            pos = (np.clip(x[axis], lo[axis], hi[axis]) - lo[axis]) / spacings[axis]
+            cell = np.clip(np.floor(pos).astype(np.int64), 0, grid.cells[axis] - 1)
+            frac = np.minimum(pos - cell, 1.0)  # pos can round past the upper face
+            base += cell * strides[axis]
+            # corner weights multiplied axis by axis, in np.prod's order; the
+            # corner's bit for this axis is the new lowest bit of its row
+            grown = np.empty((2 * len(weights), K))
+            np.multiply(weights, 1.0 - frac, out=grown[0::2])
+            np.multiply(weights, frac, out=grown[1::2])
+            weights = grown
+        keep = (weights != 0.0) & inside
+        data.append(weights.T[keep.T])
+        indices.append((base.astype(np.int32) + offsets).T[keep.T])
+        counts.append(np.count_nonzero(keep, axis=0))
         outside.append(rows + np.nonzero(~inside)[0])
-        clamped.append(clipped[~inside])
-        rows += len(targets)
+        clamped.append(np.clip(x[:, ~inside].T, lo, hi))
+        rows += K
 
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     indptr = indptr.astype(np.int32 if indptr[-1] < 2 ** 31 else np.int64)

@@ -5,14 +5,16 @@ nilpotency step, which is exact for step <= 3:
 
     p * q = p + q + [p,q]/2 + ([p,[p,q]] - [q,[p,q]])/12
 
-All operations broadcast over leading axes, so point arrays of shape
-(..., N) are accepted everywhere.
+The bracket sums over the structure constants that are not zero, in the
+order of the dense contraction.  All operations broadcast over leading
+axes, so point arrays of shape (..., N) are accepted everywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,12 +52,7 @@ class CarnotGroupSpec:
     @property
     def layer_of(self):
         """Array mapping basis index -> layer number (1-based)."""
-        out = np.empty(self.total_dim, dtype=int)
-        start = 0
-        for layer, n in enumerate(self.layer_dims, start=1):
-            out[start:start + n] = layer
-            start += n
-        return out
+        return np.repeat(np.arange(1, self.step + 1), self.layer_dims)
 
     def layer_slice(self, layer):
         start = int(sum(self.layer_dims[:layer - 1]))
@@ -63,6 +60,12 @@ class CarnotGroupSpec:
 
     def origin(self):
         return np.zeros(self.total_dim)
+
+    @cached_property
+    def bracket_terms(self):
+        """(k, i, j, c[i, j, k]) for each nonzero constant, in (k, i, j) order."""
+        return [(k, i, j, float(self.structure[i, j, k])) for k, i, j
+                in np.argwhere(self.structure.transpose(2, 0, 1)).tolist()]
 
 
 def _validate(spec):
@@ -78,14 +81,11 @@ def _validate(spec):
         raise GroupSpecError(
             f"antisymmetry violated: c[{i}][{j}][{k}] != -c[{j}][{i}][{k}]")
     layer = spec.layer_of
-    for i in range(n):
-        for j in range(n):
-            target = layer[i] + layer[j]
-            for k in range(n):
-                if c[i, j, k] != 0.0 and (target > spec.step or layer[k] != target):
-                    raise GroupSpecError(
-                        f"grading violated: [layer {layer[i]}, layer {layer[j]}] "
-                        f"has a component in layer {layer[k]} (c[{i}][{j}][{k}])")
+    for i, j, k in np.argwhere(c):      # layer[k] <= step, so no bracket lands past it
+        if layer[k] != layer[i] + layer[j]:
+            raise GroupSpecError(
+                f"grading violated: [layer {layer[i]}, layer {layer[j]}] "
+                f"has a component in layer {layer[k]} (c[{i}][{j}][{k}])")
     # Jacobi identity by direct summation over basis triples.
     jac = (np.einsum("jkl,ilm->ijkm", c, c)
            + np.einsum("kil,jlm->ijkm", c, c)
@@ -165,15 +165,21 @@ def _check_point(G, p):
 
 def bracket(G, p, q):
     """Lie bracket of coordinate vectors via the structure constants."""
-    p = _check_point(G, p)
-    q = _check_point(G, q)
-    return np.einsum("...i,...j,ijk->...k", p, q, G.structure)
+    p, q = _check_point(G, p), _check_point(G, q)
+    shape = np.broadcast(p, q).shape
+    if len(shape) == 1:     # one point: Python floats, rounded as numpy rounds
+        pT, qT, out = p.tolist(), q.tolist(), [0.0] * shape[0]
+    else:                   # coordinate-major, so each term is a row operation
+        pT, qT = (a.reshape((1,) * (len(shape) - a.ndim) + a.shape).T for a in (p, q))
+        out = np.zeros(shape[::-1])
+    for k, i, j, c in G.bracket_terms:
+        out[k] += pT[i] * qT[j] * c
+    return np.asarray(out).T
 
 
 def multiply(G, p, q):
     """Group product by the (exact, nilpotent-truncated) BCH series."""
-    p = _check_point(G, p)
-    q = _check_point(G, q)
+    p, q = _check_point(G, p), _check_point(G, q)
     b = bracket(G, p, q)
     out = p + q + 0.5 * b
     if G.step >= 3:

@@ -170,6 +170,7 @@ def test_criterion_02_jet_twist_oracle():
             f"max mismatch {worst:.2e}, {elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_03_discrete_comparison(ordered_pair_runs):
     runs, elapsed = ordered_pair_runs
     worst = max(r["worst_order"] for rs in runs.values() for r in rs)
@@ -178,6 +179,7 @@ def test_criterion_03_discrete_comparison(ordered_pair_runs):
             f"max(u - v) = {worst:.2e}, {elapsed:.1f}s for 30 pair runs")
 
 
+@pytest.mark.slow   # shares criterion 3's 30 pair runs, its fixture
 def test_criterion_04_boundary_stability_and_sup_bound(ordered_pair_runs):
     runs, _ = ordered_pair_runs
     stable = all(r["sol_gap"] <= r["data_gap"] + 1e-10
@@ -206,6 +208,7 @@ def test_criterion_05_scheme_homogeneity():
             f"max mismatch {worst:.2e}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_06_decay_bound(heisenberg_long_time):
     reports, elapsed = heisenberg_long_time
     ratios, n_pairs = [], []
@@ -218,6 +221,7 @@ def test_criterion_06_decay_bound(heisenberg_long_time):
             f"worst increment/bound {max(ratios):.3f}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_07_long_time_limit(heisenberg_long_time, line_long_time):
     heis_reports, _ = heisenberg_long_time
     line_report, identity_gap, delta, elapsed = line_long_time
@@ -278,6 +282,7 @@ def test_criterion_11_doubling_penalty(interval_problem):
             f"final tau*phi {final:.2e}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_12_consistency_order():
     G = heisenberg_group()
     f = ScalarField.from_expression(

@@ -8,6 +8,7 @@ import pytest
 from carnotpde import cli
 from carnotpde.cli import ConfigError, list_experiments, main, parse_config
 from carnotpde.experiments import ExperimentReport
+from carnotpde.grid import GridFunction, GridSpec
 from carnotpde.solver import SolverConfig
 
 MINIMAL = {
@@ -104,6 +105,36 @@ def test_unknown_experiment_rejected():
         parse_config(json.dumps(dict(MINIMAL, experiments=["nope"])))
 
 
+def test_experiments_must_be_a_list():
+    with pytest.raises(ConfigError, match="'experiments' must be a list of experiment names"):
+        parse_config(json.dumps(dict(MINIMAL, experiments="comparison")))
+
+
+HEIS_SPEC = dict(MINIMAL, group={"layers": [2, 1], "brackets": [[0, 1, 2, 1.0]]},
+                 box=[[-1, 1]] * 3, cells=[4] * 3, psi="x3", g="x3")
+
+
+@pytest.mark.parametrize("key,cfg", [
+    ("cells", dict(MINIMAL, cells=[16.5])),
+    ("direction_samples", dict(MINIMAL, direction_samples=8.7)),
+    ("seed", dict(MINIMAL, seed=1.9)),
+    ("layers", dict(HEIS_SPEC, group={"layers": [2, 1.5], "brackets": [[0, 1, 2, 1.0]]})),
+])
+def test_fractional_integer_settings_name_their_key(key, cfg):
+    with pytest.raises(ConfigError, match=f"key '{key}' must be an integer"):
+        parse_config(json.dumps(cfg))
+
+
+def test_integral_values_of_integer_settings_still_parse():
+    config = parse_config(json.dumps(dict(MINIMAL, cells=[16.0], direction_samples=8.0,
+                                          seed=3.0)))
+    assert config.problem.grid.cells == (16,)
+    assert config.solver.direction_samples == 8
+    assert config.seed == 3 and isinstance(config.seed, int)
+    cfg = dict(HEIS_SPEC, group={"layers": [2.0, 1], "brackets": [[0, 1, 2, 1.0]]})
+    assert parse_config(json.dumps(cfg)).problem.group.layer_dims == (2, 1)
+
+
 # -- subcommands and exit codes --------------------------------------
 
 
@@ -129,6 +160,40 @@ def test_solve_writes_csv_and_metadata(tmp_path):
     assert meta["group"] == "euclidean1"
     assert meta["delta"] == pytest.approx(1 / 16)
     assert meta["steps"] > 0
+
+
+def per_row_csv(snapshot, path):
+    """The per-cell writer export_snapshot_csv replaced, kept as its oracle."""
+    grid = snapshot.grid
+    coords = grid.coords()
+    header = ",".join([f"axis_{i}" for i in range(grid.ndim)] + ["t", "u"])
+    with open(path, "w") as handle:
+        handle.write(header + "\n")
+        t = snapshot.time_level
+        for row, value in zip(coords, snapshot.values):
+            cells = [f"{c:.17g}" for c in row] + [f"{t:.17g}", f"{value:.17g}"]
+            handle.write(",".join(cells) + "\n")
+
+
+@pytest.mark.parametrize("box,cells", [
+    (((0.1, 1.3),), (128,)),
+    (((-1.0, 1.0), (-0.3, 1.7)), (32, 16)),
+    (((-1.0, 1.0), (0.0, 0.7), (-2.5, 1e-3)), (16, 16, 16)),
+])
+def test_csv_writer_matches_the_per_row_writer_byte_for_byte(tmp_path, box, cells):
+    grid = GridSpec(box=box, cells=cells)
+    assert grid.node_count % cli.CSV_BLOCK_ROWS != 0
+    values = np.random.default_rng(len(cells)).normal(size=grid.node_count)
+    special = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 0.1, 1 / 3]
+    values[:len(special)] = special
+    values[-len(special):] = special
+    if grid.node_count > cli.CSV_BLOCK_ROWS:
+        values[cli.CSV_BLOCK_ROWS - 3:cli.CSV_BLOCK_ROWS + 4] = special
+    for t in (0.0, 0.1, 2.0 / 3.0):
+        snap = GridFunction(grid, values, t)
+        per_row_csv(snap, tmp_path / "expect.csv")
+        cli.export_snapshot_csv(snap, tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expect.csv").read_bytes()
 
 
 def test_solve_is_deterministic(tmp_path):

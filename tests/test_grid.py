@@ -1,11 +1,16 @@
 """Grid geometry, node classification and flow-stencil interpolation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carnotpde.fields import ScalarField
 from carnotpde.grid import GridFunction, GridSpec, build_stencil, classify_nodes
+from carnotpde.groups import engel_group, euclidean_group, heisenberg_group
+from carnotpde.solver import CauchyDirichletProblem, Scheme, SolverConfig
 
 
 @pytest.fixture
@@ -157,3 +162,61 @@ def test_operator_rows_are_convex_combinations_or_datum(ndim, seed):
     datum = rng.uniform(-1.0, 1.0, op.outside.size)
     out = op.apply(rng.uniform(-1.0, 1.0, grid.node_count), datum).ravel()
     assert np.array_equal(out[op.outside], datum)
+
+
+# SHA-256 of (dtype, shape, bytes) of each StencilOperator array, recorded
+# from the row-major build that the column-major one replaced: every weight,
+# index and clamped target must come out bit for bit the same.
+OPERATOR_DIGESTS = {
+    "heisenberg_9": {
+        "data": "1b8c00980be98f947d9fa62a9ecc28f1572254f7694ff6daef64fcfe272fab1d",
+        "indices": "f4c658938280eee008ef2eb4ed8be6c7bf69880ca5ea9643bdf13f4bda9fa88a",
+        "indptr": "3daf51927f81031c30ca073e32a3aa68efa9824de92e8d467e902803061a02d8",
+        "outside": "55ae42cc1e37a5eb9f1634d077a895b753167504b99a5416b6affbd3512a86f6",
+        "clamped": "f566ab0b6fa61eef6c4a6a5ed6d676e9d2ddc2625bc92d5fad293ede51303d10",
+    },
+    "engel_5": {
+        "data": "ba2e685145bf63532966a87fdadc44088ef5f72ae01105551e749cc3db49120e",
+        "indices": "9d13bb03d963053a219918630d571cff7cc941034515e0e4c1904aebb20aefda",
+        "indptr": "98ebffc94feb6970204d5b3af915edf81498c81f49f868c5cbad51c2731b70a5",
+        "outside": "55ae42cc1e37a5eb9f1634d077a895b753167504b99a5416b6affbd3512a86f6",
+        "clamped": "d049251e9e6551cdc069753398f7df17a95d984b501f7c56a8811fa528039942",
+    },
+    "plane_r03": {
+        "data": "d50135a3d5cbfc13025c693ca429d3ea522873e7825e5784ecc758a169b362fc",
+        "indices": "93631f8389880551541f7fa8685c95b6e154940d19d4b0ec7f14da1e28e2d3ee",
+        "indptr": "0aa176f89b7abf3ddaa72f29a935bdb00830fffde93fb1ca4bc60bc2a323a3a4",
+        "outside": "611feac41ed0e8961a8b2fa85b1d014d68b9abf833f15804a48abc35bfa32b48",
+        "clamped": "a3ad8efd38fc6d9166b77b3f6a96c650d10268866fe9ab901bf81b6090cfd3d4",
+    },
+    "line_129": {
+        "data": "8b7034c733d0e9ada1a74bd09e1e5d313d1ed5a3e9c846ca20997b82f5883a12",
+        "indices": "70d7adc698b212693499498d9141502231484a1b3618830718ce62149373cc55",
+        "indptr": "1272cf16043dc474b9ec467301ceffb7460d8fc8c4ff7d176f55de8ab29409ec",
+        "outside": "55ae42cc1e37a5eb9f1634d077a895b753167504b99a5416b6affbd3512a86f6",
+        "clamped": "2c50ea1ea114b643875325f0b4e5dfa6bdeadab9425fc073141a2e0507be6894",
+    },
+}
+GEOMETRIES = {
+    "heisenberg_9": (heisenberg_group(), ((-1, 1),) * 3, (8,) * 3, {"direction_samples": 16}),
+    "engel_5": (engel_group(), ((-1, 1),) * 4, (4,) * 4, {}),
+    "plane_r03": (euclidean_group(2), ((0, 1),) * 2, (8, 8), {"stencil_radius": 0.3}),
+    "line_129": (euclidean_group(1), ((0, 1),), (128,), {}),
+}
+
+
+def operator_digests(name):
+    G, box, cells, config = GEOMETRIES[name]
+    f = ScalarField.from_expression("x1", G.total_dim)
+    problem = CauchyDirichletProblem(G, GridSpec(box=box, cells=cells), 2.0, f, f)
+    op = Scheme(problem, SolverConfig(**config)).operator
+    arrays = {"data": op.matrix.data, "indices": op.matrix.indices,
+              "indptr": op.matrix.indptr, "outside": op.outside, "clamped": op.clamped}
+    return {part: hashlib.sha256(f"{a.dtype.str}{a.shape}".encode()
+                                 + np.ascontiguousarray(a).tobytes()).hexdigest()
+            for part, a in arrays.items()}
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_stencil_operator_arrays_are_bit_identical_to_the_recorded_build(name):
+    assert operator_digests(name) == OPERATOR_DIGESTS[name]

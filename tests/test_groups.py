@@ -181,3 +181,69 @@ def test_embed_horizontal():
         groups.embed_horizontal(heisenberg_group(), [2.0, -1.0]), [2, -1, 0])
     assert np.allclose(
         groups.embed_horizontal(engel_group(), [1.0, 1.0]), [1, 1, 0, 0])
+
+
+# -- the sparse bracket against the dense contraction ----------------
+
+
+def einsum_bracket(G, p, q):
+    """The bracket's definition: the dense contraction with every constant."""
+    return np.einsum("...i,...j,ijk->...k", p, q, G.structure)
+
+
+def einsum_multiply(G, p, q):
+    b = einsum_bracket(G, p, q)
+    out = p + q + 0.5 * b
+    if G.step >= 3:
+        out = out + (einsum_bracket(G, p, b) - einsum_bracket(G, q, b)) / 12.0
+    return out
+
+
+# Step <= 3 tables to put in a random graded basis: the presets, the free
+# step-3 algebra on two generators, and a step-2 algebra with every layer-1
+# pair bracketing into a layer-2 coordinate of its own.
+FREE_23 = make_group((2, 1, 2), [(0, 1, 2, 1.0), (0, 2, 3, 1.0), (1, 2, 4, 1.0)])
+FREE_32 = make_group((3, 3), [(0, 1, 3, 1.0), (0, 2, 4, 1.0), (1, 2, 5, 1.0)])
+
+
+@st.composite
+def graded_tables(draw):
+    """A step <= 3 group with its table in a random graded basis: F_i =
+    sum_a M[a, i] E_a with M block diagonal by layer, so the constants are
+    non-unit and most outputs get several terms."""
+    base = draw(st.sampled_from(PRESETS + [FREE_23, FREE_32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    M = np.zeros((base.total_dim,) * 2)
+    for layer in range(1, base.step + 1):
+        block = base.layer_slice(layer)
+        n = block.stop - block.start
+        M[block, block] = (np.diag(rng.uniform(0.5, 2.0, n))
+                           @ (np.eye(n) + np.triu(rng.uniform(-1, 1, (n, n)), 1)))
+    c = np.einsum("ai,bj,abc,kc->ijk", M, M, base.structure, np.linalg.inv(M))
+    brackets = [(i, j, k, c[i, j, k]) for i, j, k in np.argwhere(c) if i < j
+                and base.layer_of[k] == base.layer_of[i] + base.layer_of[j]]
+    return make_group(base.layer_dims, brackets)
+
+
+SHAPE_PAIRS = [((), ()), ((7,), ()), ((), (5,)), ((6,), (6,)),
+               ((3, 1), (1, 4)), ((4,), (2, 4)), ((2, 1, 3), (5, 1))]
+
+
+@given(graded_tables(), st.sampled_from(SHAPE_PAIRS), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_bracket_and_product_match_the_dense_contraction_bit_for_bit(G, shapes, seed):
+    rng = np.random.default_rng(seed)
+    p, q = (rng.normal(size=s + (G.total_dim,)) * 10.0 ** rng.integers(-8, 8, s + (G.total_dim,))
+            for s in shapes)
+    for fast, oracle in ((groups.bracket, einsum_bracket),
+                         (groups.multiply, einsum_multiply)):
+        got, expect = fast(G, p, q), oracle(G, p, q)
+        assert got.shape == expect.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expect).tobytes()
+
+
+def test_bracket_terms_are_the_nonzero_constants_in_output_order():
+    G = engel_group()
+    assert G.bracket_terms == [(2, 0, 1, 1.0), (2, 1, 0, -1.0),
+                               (3, 0, 2, 1.0), (3, 2, 0, -1.0)]
+    assert euclidean_group(3).bracket_terms == []

@@ -210,7 +210,7 @@ def _symbolic_hessian_fn(G, f):
                                   + apply_field(j, firsts[i])) / 2)
                     for j in range(n1)] for i in range(n1)]
         cache[key] = _wrap_lambdified_array(
-            sympy.lambdify(f._symbols, entries, modules="numpy"),
+            sympy.lambdify(f._symbols, entries, modules="numpy", docstring_limit=0),
             G.total_dim, (n1, n1))
     return cache[key]
 

@@ -61,6 +61,23 @@ def _integer(value, key):
     return int(value)
 
 
+def _brackets(value):
+    """A custom group's bracket table: a list of [i, j, k, value] entries,
+    three integral indices and a number."""
+    if not isinstance(value, list):
+        raise ConfigError("key 'brackets' must be a list of [i, j, k, value] entries")
+    table = []
+    for entry in value:
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise ConfigError(
+                f"key 'brackets' needs [i, j, k, value] entries, got {entry!r}")
+        *ijk, c = entry
+        if isinstance(c, bool) or not isinstance(c, (int, float)):
+            raise ConfigError(f"key 'brackets' needs a number as value, got {c!r}")
+        table.append((*(_integer(i, "brackets") for i in ijk), c))
+    return table
+
+
 def _require(data, key, kind):
     if key not in data:
         raise ConfigError(f"missing required key '{key}'")
@@ -90,7 +107,7 @@ def parse_config(text):
     elif isinstance(spec, dict):
         _reject_unknown(spec, _GROUP_KEYS, "in the group spec")
         group = make_group([_integer(d, "layers") for d in spec.get("layers", ())],
-                           [tuple(b) for b in spec.get("brackets", ())],
+                           _brackets(spec.get("brackets", [])),
                            label=spec.get("label", "custom"))
     else:
         raise ConfigError("'group' must be a preset name or a custom spec object")
@@ -112,7 +129,8 @@ def parse_config(text):
     psi = ScalarField.from_expression(_require(data, "psi", str), dim)
     g = ScalarField.from_expression(_require(data, "g", str), dim)
     for name, fld in (("psi", psi), ("g", g)):
-        probe = fld(grid.coords()[:: max(1, grid.node_count // 64)], 0.0)
+        probe = fld(grid.coords(np.arange(0, grid.node_count,
+                                          max(1, grid.node_count // 64))), 0.0)
         if not np.all(np.isfinite(probe)):
             raise ConfigError(f"expression '{name}' is not finite on the box")
 

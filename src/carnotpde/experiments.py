@@ -271,12 +271,10 @@ def h_limit_experiment(problem, config, h_sequence=(2.0, 1.5, 1.25, 1.1)):
         raise PreconditionError("h_sequence must stay strictly above 1")
     if any(b >= a for a, b in itertools.pairwise(h_sequence)):
         raise PreconditionError("h_sequence must decrease toward 1")
-    scheme = Scheme(problem, config)
-    reference = solve_parabolic(replace(problem, h=1.0), config, scheme=scheme).final
+    reference = solve_parabolic(replace(problem, h=1.0), config).final
     gaps = []
     for hh in h_sequence:
-        final = solve_parabolic(replace(problem, h=float(hh)), config,
-                                scheme=scheme).final
+        final = solve_parabolic(replace(problem, h=float(hh)), config).final
         gaps.append(float(np.abs(final.values - reference.values).max()))
     monotone = all(b <= a + 1e-3 for a, b in itertools.pairwise(gaps))
     bound = 5.0 * problem.grid.delta
@@ -292,10 +290,8 @@ def commuting_diagram_experiment(problem, config):
     """Large-time limit of the h -> 1 flow versus the elliptic fixed point:
     the two limit operations land on the same field."""
     elapsed = _timer()
-    scheme = Scheme(problem, config)
-    result, t_large = solve_to_steady(replace(problem, h=1.0), config,
-                                      scheme=scheme)
-    steady = solve_elliptic_steady(problem, config, scheme=scheme)
+    result, t_large = solve_to_steady(replace(problem, h=1.0), config)
+    steady = solve_elliptic_steady(problem, config)
     gap = float(np.abs(result.final.values - steady.values).max())
     bound = 5.0 * problem.grid.delta
     return ExperimentReport(

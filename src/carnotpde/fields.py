@@ -41,7 +41,9 @@ class ScalarField:
             expr = parse_expression(text, dim)
         else:
             expr = sympy.sympify(text)
-        fn = sympy.lambdify(symbols, expr, modules="numpy")
+        # docstring_limit=0: the same generated source, without the str(expr)
+        # of a docstring that nothing reads
+        fn = sympy.lambdify(symbols, expr, modules="numpy", docstring_limit=0)
         return cls(_wrap_lambdified(fn, dim), dim,
                    smoothness="analytic-polynomial", expr=expr, symbols=symbols)
 
@@ -68,7 +70,8 @@ class ScalarField:
         if self.expr is not None:
             if self._grad_fn is None:
                 grads = [sympy.diff(self.expr, s) for s in self._symbols[:-1]]
-                fn = sympy.lambdify(self._symbols, grads, modules="numpy")
+                fn = sympy.lambdify(self._symbols, grads, modules="numpy",
+                                    docstring_limit=0)
                 self._grad_fn = _wrap_lambdified_array(fn, self.dim, (self.dim,))
             return self._grad_fn(coords, t)
         out = np.empty(coords.shape, dtype=float)
@@ -89,7 +92,8 @@ class ScalarField:
             if self._hess_fn is None:
                 xs = self._symbols[:-1]
                 rows = [[sympy.diff(self.expr, a, b) for b in xs] for a in xs]
-                fn = sympy.lambdify(self._symbols, rows, modules="numpy")
+                fn = sympy.lambdify(self._symbols, rows, modules="numpy",
+                                    docstring_limit=0)
                 self._hess_fn = _wrap_lambdified_array(fn, n, (n, n))
             return self._hess_fn(coords, t)
         out = np.empty(coords.shape + (n,), dtype=float)
@@ -122,7 +126,7 @@ class ScalarField:
         if self.expr is not None:
             if self._dt_fn is None:
                 fn = sympy.lambdify(self._symbols, sympy.diff(self.expr, self._symbols[-1]),
-                                    modules="numpy")
+                                    modules="numpy", docstring_limit=0)
                 self._dt_fn = _wrap_lambdified(fn, self.dim)
             return np.asarray(self._dt_fn(coords, t), dtype=float)
         h = _H1 * (1.0 + abs(float(t)))

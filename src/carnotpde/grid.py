@@ -60,10 +60,18 @@ class GridSpec:
     def axes(self):
         return [np.linspace(a, b, c + 1) for (a, b), c in zip(self.box, self.cells)]
 
-    def coords(self):
-        """All node coordinates, shape (node_count, ndim), lexicographic order."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+    def coords(self, nodes=None):
+        """Node coordinates, shape (count, ndim), lexicographic order: of every
+        node, or of the flat indices ``nodes``.  All nodes' coordinates are
+        written axis by axis into one array, without a mesh per axis."""
+        axes = self.axes()
+        if nodes is not None:
+            index = np.unravel_index(nodes, self.shape)
+            return np.stack([a[i] for a, i in zip(axes, index)], axis=-1)
+        out = np.empty(self.shape + (self.ndim,))
+        for i, a in enumerate(axes):
+            out[..., i] = a.reshape((-1,) + (1,) * (self.ndim - 1 - i))
+        return out.reshape(-1, self.ndim)
 
     def lateral_mask(self):
         """Flat boolean mask of nodes on the spatial boundary faces."""

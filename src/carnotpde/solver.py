@@ -16,10 +16,16 @@ discrete maximum principle exactly.
 A ``Scheme`` is the data-free geometry of one (group, grid, delta, direction
 set): its stencil operator (``grid.StencilOperator``), whose first D rows are
 the direction set and whose last 2 n1 rows the +-e_i of the central-difference
-gradient.  A ``Binding`` is one field's data on it (psi, g, h, eps_g) and the
-envelope of every data value read.  ``march`` advances a (B, nodes) ``Stack``
-of bound fields with one operator apply per step, whose gradient rows give
-both the speed and the CFL step; every solve and experiment runs on it.
+gradient.  Each geometry is built once per content key (the group's layers
+and structure constants, box, cells, delta, direction count and node subset)
+and held read-only in a bounded least-recently-used cache, so every Scheme of
+equal content shares its arrays: problems that differ only in horizon, h or
+data (the pairs of a comparison block, the h of an h-limit sweep, the
+experiments of one ``verify``) pay for one build.  A ``Binding`` is one
+field's data on it (psi, g, h, eps_g) and the envelope of every data value
+read.  ``march`` advances a (B, nodes) ``Stack`` of bound fields with one
+operator apply per step, whose gradient rows give both the speed and the CFL
+step; every solve and experiment runs on it.
 
 ``solve_elliptic_steady`` finds the fixed point of the same max + min map by
 policy iteration (one sparse linear solve per switch of each node's argmax
@@ -32,6 +38,7 @@ data extremes, which bracket the fixed point from both sides.
 from __future__ import annotations
 
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +82,7 @@ class CauchyDirichletProblem:
             raise ValueError("homogeneity exponent h must be >= 1")
         if self.grid.ndim != self.group.total_dim:
             raise ValueError("grid dimension does not match the group")
-        lateral = self.grid.coords()[self.grid.lateral_mask()]
+        lateral = self.grid.coords(np.nonzero(self.grid.lateral_mask())[0])
         gap = np.abs(self.g(lateral, 0.0) - self.psi(lateral, 0.0)).max()
         if gap > 1e-12:
             warnings.warn(
@@ -128,39 +135,71 @@ def _time_independent(fieldlike):
     return sympy.Symbol("t") not in expr.free_symbols
 
 
+GEOMETRY_CACHE_SIZE = 4    # geometries held per process, least recently used dropped
+_GEOMETRIES = OrderedDict()
+
+
+def _geometry(G, grid, delta, samples, subset):
+    """The data-free arrays of a Scheme, frozen read-only."""
+    lateral = grid.lateral_mask()
+    coords = grid.coords()
+    if subset is None:
+        interior_flat = np.nonzero(~lateral)[0]
+    elif lateral[subset].any():
+        raise ValueError("node subset must lie off the parabolic boundary")
+    else:
+        interior_flat = subset
+    coords_interior = coords[interior_flat]
+    n1 = G.horizontal_dim
+    kappa = direction_set(n1, samples)
+    axes = np.eye(n1).repeat(2, axis=0) * np.resize([1.0, -1.0], (2 * n1, 1))
+    is_axis = (kappa[:, None, :] == axes[None]).all(axis=2).any(axis=1)
+    # Operator rows: the directions other than +-e_i, then +e1, -e1, +e2,
+    # ... in that order.  The +-e_i a direction set holds lead that order,
+    # so max + min reads the first D rows and the gradient the last 2 n1.
+    directions = np.concatenate([kappa[~is_axis], axes])
+    operator = build_stencil(grid, (
+        groups.multiply(G, coords_interior, groups.embed_horizontal(G, delta * d))
+        for d in directions))
+    geometry = dict(delta=delta, lateral=lateral, coords=coords,
+                    interior_flat=interior_flat, coords_interior=coords_interior,
+                    coords_lateral=coords[lateral], directions=directions,
+                    n_kappa=len(kappa), _grad_start=len(kappa) - int(is_axis.sum()),
+                    operator=operator)
+    M = operator.matrix
+    for a in (*geometry.values(), M.data, M.indices, M.indptr,
+              operator.outside, operator.clamped):
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return geometry
+
+
 class Scheme:
     """The data-free stencil geometry of one (group, grid, delta, direction
-    set), and the update of a stack of fields bound to it."""
+    set), and the update of a stack of fields bound to it.
+
+    The geometry's arrays are built once per content key and shared,
+    read-only, by every Scheme of equal content while the key stays among
+    the GEOMETRY_CACHE_SIZE most recently used; the horizon, h, the data and
+    the step settings are not part of it."""
 
     def __init__(self, problem, config=None, node_subset=None):
         config = config or SolverConfig()
         G, grid = problem.group, problem.grid
-        self.delta = (config.stencil_radius
-                      if config.stencil_radius is not None else grid.delta)
-        self.lateral = grid.lateral_mask()
-        self.coords = grid.coords()
-        if node_subset is None:
-            self.interior_flat = np.nonzero(~self.lateral)[0]
-        else:
-            self.interior_flat = np.asarray(node_subset, dtype=np.int64)
-            if self.lateral[self.interior_flat].any():
-                raise ValueError("node subset must lie off the parabolic boundary")
-        self.coords_interior = self.coords[self.interior_flat]
-        self.coords_lateral = self.coords[self.lateral]
-        n1 = G.horizontal_dim
-        kappa = direction_set(n1, config.direction_samples)
-        axes = np.eye(n1).repeat(2, axis=0) * np.resize([1.0, -1.0], (2 * n1, 1))
-        is_axis = (kappa[:, None, :] == axes[None]).all(axis=2).any(axis=1)
-        # Operator rows: the directions other than +-e_i, then +e1, -e1, +e2,
-        # ... in that order.  The +-e_i a direction set holds lead that order,
-        # so max + min reads the first D rows and the gradient the last 2 n1.
-        self.directions = np.concatenate([kappa[~is_axis], axes])
-        self.n_kappa = len(kappa)
-        self._grad_start = len(kappa) - int(is_axis.sum())
-        self.operator = build_stencil(grid, (
-            groups.multiply(G, self.coords_interior,
-                            groups.embed_horizontal(G, self.delta * d))
-            for d in self.directions))
+        delta = float(config.stencil_radius if config.stencil_radius is not None
+                      else grid.delta)
+        subset = None if node_subset is None else np.array(node_subset, dtype=np.int64)
+        # box by its bytes, so that -0.0 and 0.0 stay apart as in the coordinates
+        key = (G.layer_dims, G.structure.tobytes(), np.array(grid.box).tobytes(),
+               grid.cells, delta, config.direction_samples,
+               None if subset is None else subset.tobytes())
+        geometry = _GEOMETRIES.pop(key, None)     # back in below as the most recent
+        if geometry is None:
+            geometry = _geometry(G, grid, delta, config.direction_samples, subset)
+        _GEOMETRIES[key] = geometry
+        while len(_GEOMETRIES) > GEOMETRY_CACHE_SIZE:
+            _GEOMETRIES.popitem(last=False)
+        self.__dict__.update(geometry)
 
     def gradient(self, W):
         """Central differences along the layer-1 axes from the +-e_i rows of

@@ -135,6 +135,31 @@ def test_integral_values_of_integer_settings_still_parse():
     assert parse_config(json.dumps(cfg)).problem.group.layer_dims == (2, 1)
 
 
+@pytest.mark.parametrize("brackets,match", [
+    ([[0, 1.5, 2, 1.0]], "key 'brackets' must be an integer, got 1.5"),
+    ([[0, 1, 2]], r"key 'brackets' needs \[i, j, k, value\] entries, got \[0, 1, 2\]"),
+    ([[0, 1, 2, "1"]], "key 'brackets' needs a number as value, got '1'"),
+    ("0 1 2 1", "key 'brackets' must be a list"),
+], ids=["fractional_index", "three_items", "string_value", "string_table"])
+def test_malformed_brackets_name_their_key(brackets, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(json.dumps(dict(HEIS_SPEC, group={"layers": [2, 1],
+                                                       "brackets": brackets})))
+
+
+def test_fractional_bracket_index_exits_one_naming_the_key(tmp_path, capsys):
+    path = write_config(tmp_path, **dict(
+        HEIS_SPEC, group={"layers": [2, 1], "brackets": [[0, 1.5, 2, 1.0]]}))
+    assert main(["--out", str(tmp_path / "out"), "solve", str(path)]) == 1
+    assert "key 'brackets' must be an integer" in capsys.readouterr().err
+
+
+def test_integral_bracket_indices_still_parse():
+    cfg = dict(HEIS_SPEC, group={"layers": [2, 1], "brackets": [[0, 1.0, 2.0, 1]]})
+    structure = parse_config(json.dumps(cfg)).problem.group.structure
+    assert structure[0, 1, 2] == 1.0 and structure[1, 0, 2] == -1.0
+
+
 # -- subcommands and exit codes --------------------------------------
 
 

@@ -43,6 +43,21 @@ def test_grid_geometry(square):
     assert np.allclose(coords[-1], [1, 2])
 
 
+@pytest.mark.parametrize("box,cells", [
+    (((0, 1), (0, 2)), (4, 8)),
+    (((-1.3, 0.7),), (9,)),
+    (((-1, 1), (0, 2), (-3, 1), (0, 1)), (4, 5, 6, 7)),
+])
+def test_coords_are_the_axis_values_bit_for_bit(box, cells):
+    grid = GridSpec(box=box, cells=cells)
+    mesh = np.meshgrid(*grid.axes(), indexing="ij")
+    coords = grid.coords()
+    assert coords.flags.c_contiguous
+    assert np.array_equal(coords, np.stack([m.ravel() for m in mesh], axis=-1))
+    nodes = np.nonzero(grid.lateral_mask())[0][::3]
+    assert np.array_equal(grid.coords(nodes), coords[nodes])
+
+
 def test_lateral_mask_counts(square):
     mask = square.lateral_mask()
     # 5x9 grid: boundary of the rectangle has 2*5 + 2*9 - 4 nodes

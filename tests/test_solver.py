@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from carnotpde import solver
 from carnotpde.fields import ScalarField
 from carnotpde.grid import GridSpec
-from carnotpde.groups import engel_group, euclidean_group, heisenberg_group
+from carnotpde.groups import engel_group, euclidean_group, heisenberg_group, make_group
 from carnotpde.solver import (
     Binding,
     CauchyDirichletProblem,
@@ -242,6 +242,97 @@ def test_datum_vector_follows_time_dependent_boundary_data():
         assert np.array_equal(field.datum(t), prob.g(clamped, t))
 
 
+# -- the geometry cache ----------------------------------------------
+
+_CUBE = ((-1, 1),) * 3
+
+
+def test_schemes_of_equal_content_share_one_geometry():
+    # a group rebuilt from the same table, and problems that differ only in
+    # horizon, h, data or step settings, all read one build
+    base = make_problem(heisenberg_group(), _CUBE, (4, 4, 4), 2.0, "x1*x2")
+    first = Scheme(base)
+    rebuilt = make_group((2, 1), [(0, 1, 2, 1.0)])
+    same = [
+        (make_problem(rebuilt, _CUBE, (4, 4, 4), 2.0, "x1*x2"), None),
+        (replace(base, grid=replace(base.grid, horizon=0.7)), None),
+        (replace(base, h=3.0), None),
+        (make_problem(heisenberg_group(), _CUBE, (4, 4, 4), 1.0, "x3 - x1"), None),
+        (base, SolverConfig(cfl_factor=0.3, gradient_threshold=0.1, dt=1e-3)),
+        (base, SolverConfig(stencil_radius=base.grid.delta)),
+    ]
+    for problem, config in same:
+        scheme = Scheme(problem, config)
+        assert scheme.operator is first.operator
+        assert scheme.coords is first.coords
+        assert scheme.interior_flat is first.interior_flat
+    subset = first.interior_flat[[0, 7]]
+    assert Scheme(base, node_subset=subset).operator is Scheme(
+        base, node_subset=list(subset)).operator
+
+
+def test_schemes_of_other_content_build_their_own_geometry():
+    base = make_problem(heisenberg_group(), _CUBE, (4, 4, 4), 2.0, "x1*x2")
+    other = [
+        (make_problem(heisenberg_group(), ((0, 2), (-1, 1), (-1, 1)), (4, 4, 4),
+                      2.0, "x1*x2"), None, None),
+        (make_problem(heisenberg_group(), _CUBE, (4, 4, 6), 2.0, "x1*x2"), None, None),
+        (base, SolverConfig(stencil_radius=0.75), None),
+        (base, SolverConfig(direction_samples=8), None),
+        (base, None, [31]),
+        (make_problem(make_group((2, 1), [(0, 1, 2, 2.0)]), _CUBE, (4, 4, 4),
+                      2.0, "x1*x2"), None, None),
+    ]
+    for problem, config, subset in other:
+        # the base geometry is the most recently used one when each is asked for
+        held = Scheme(base).operator
+        fresh = Scheme(problem, config, node_subset=subset).operator
+        assert fresh is not held
+        assert not (fresh.matrix.shape == held.matrix.shape
+                    and (fresh.matrix != held.matrix).nnz == 0)
+
+
+def test_cached_geometry_is_read_only():
+    # a radius above the spacing sends targets off the box, so the datum
+    # rows and their clamped targets are held too
+    prob = make_problem(heisenberg_group(), _CUBE, (4, 4, 4), 2.0, "x1*x2")
+    scheme = Scheme(prob, SolverConfig(stencil_radius=0.75))
+    op = scheme.operator
+    arrays = [scheme.lateral, scheme.coords, scheme.interior_flat,
+              scheme.coords_interior, scheme.coords_lateral, scheme.directions,
+              op.matrix.data, op.matrix.indices, op.matrix.indptr, op.outside,
+              op.clamped]
+    for a in arrays:
+        assert a.size
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_geometry_cache_drops_the_least_recently_used():
+    size = solver.GEOMETRY_CACHE_SIZE
+    base = make_problem(heisenberg_group(), _CUBE, (4, 4, 4), 2.0, "x1*x2")
+    samples = iter(range(20, 20 + 4 * size, 2))     # all above base's 16
+    first = Scheme(base).operator
+    for _ in range(size - 1):
+        Scheme(base, SolverConfig(direction_samples=next(samples)))
+    assert Scheme(base).operator is first       # held, and now the most recent
+    Scheme(base, SolverConfig(direction_samples=next(samples)))
+    assert Scheme(base).operator is first       # the one dropped was older
+    for _ in range(size):
+        Scheme(base, SolverConfig(direction_samples=next(samples)))
+    again = Scheme(base).operator
+    assert again is not first
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(again.matrix, name), getattr(first.matrix, name))
+
+
+def test_invalid_node_subset_raises_on_every_call():
+    prob = make_problem(heisenberg_group(), _CUBE, (4, 4, 4), 2.0, "x1*x2")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="parabolic boundary"):
+            Scheme(prob, node_subset=[0, 31])
+
+
 # -- stepping --------------------------------------------------------
 
 
@@ -272,6 +363,27 @@ def test_one_step_preserves_affine_data_away_from_the_boundary(G, expr):
     margin = 2.5 * prob.grid.delta
     safe = np.all((coords > -1 + margin) & (coords < 1 - margin), axis=1)
     assert np.abs(new[safe] - u[safe]).max() <= 1e-12
+
+
+_WAVES = {1.0: "x1 + 0.2*(x1**2 + 2*t)",
+          2.0: "2*(x1 - 0.5*t) - 0.25*(x1 - 0.5*t)**2",
+          3.0: "-(4 - (x1 - 0.5*t))**1.5 / 1.5"}
+
+
+def test_on_axis_travelling_waves_are_exact_or_second_order():
+    # data in x1 alone: X1 u = u' and X2 u = 0, so the flow reduces to
+    # u_t = |u'|^(h-1) u'', solved by these travelling waves; for h = 1 the
+    # heat polynomial (u' > 0) is reproduced to round-off
+    errors = {h: [] for h in _WAVES}
+    for cells in (8, 16):
+        for h, expr in _WAVES.items():
+            prob = make_problem(heisenberg_group(), _CUBE, (cells,) * 3, h, expr)
+            final = solve_parabolic(prob, SolverConfig(cfl_factor=1.0)).final
+            exact = prob.g(prob.grid.coords(), final.time_level)
+            errors[h].append(float(np.abs(final.values - exact).max()))
+    assert max(errors[1.0]) <= 1e-15
+    for h in (2.0, 3.0):
+        assert np.log2(errors[h][0] / errors[h][1]) >= 1.8, errors[h]
 
 
 def test_constant_data_is_global_fixed_point():

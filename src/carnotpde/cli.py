@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,7 +64,7 @@ def _integer(value, key):
 
 def _brackets(value):
     """A custom group's bracket table: a list of [i, j, k, value] entries,
-    three integral indices and a number."""
+    three integral indices and a finite number."""
     if not isinstance(value, list):
         raise ConfigError("key 'brackets' must be a list of [i, j, k, value] entries")
     table = []
@@ -72,8 +73,9 @@ def _brackets(value):
             raise ConfigError(
                 f"key 'brackets' needs [i, j, k, value] entries, got {entry!r}")
         *ijk, c = entry
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            raise ConfigError(f"key 'brackets' needs a number as value, got {c!r}")
+        if isinstance(c, bool) or not isinstance(c, (int, float)) or not math.isfinite(c):
+            raise ConfigError(
+                f"key 'brackets' needs a finite number as value, got {c!r}")
         table.append((*(_integer(i, "brackets") for i in ijk), c))
     return table
 

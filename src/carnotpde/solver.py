@@ -16,15 +16,16 @@ discrete maximum principle exactly.
 A ``Scheme`` is the data-free geometry of one (group, grid, delta, direction
 set): its stencil operator (``grid.StencilOperator``), whose first D rows are
 the direction set and whose last 2 n1 rows the +-e_i of the central-difference
-gradient.  Each geometry is built once per content key (the group's layers
-and structure constants, box, cells, delta, direction count and node subset)
-and held read-only in a bounded least-recently-used cache, so every Scheme of
-equal content shares its arrays: problems that differ only in horizon, h or
+gradient.  Its arrays depend on a content key only (the group's layers and
+structure constants, box, cells, delta, direction count and node subset).
+The module holds the most recent geometry, read-only, so successive Schemes
+of equal content share one build: problems that differ only in horizon, h or
 data (the pairs of a comparison block, the h of an h-limit sweep, the
-experiments of one ``verify``) pay for one build.  A ``Binding`` is one
-field's data on it (psi, g, h, eps_g) and the envelope of every data value
-read.  ``march`` advances a (B, nodes) ``Stack`` of bound fields with one
-operator apply per step, whose gradient rows give both the speed and the CFL
+experiments of one ``verify``).  A new key drops the held geometry before
+its own build, so the module never holds two.  A ``Binding`` is one field's
+data on it (psi, g, h, eps_g) and the envelope of every data value read.
+``march`` advances a (B, nodes) ``Stack`` of bound fields with one operator
+apply per step, whose gradient rows give both the speed and the CFL
 step; every solve and experiment runs on it.
 
 ``solve_elliptic_steady`` finds the fixed point of the same max + min map by
@@ -38,7 +39,6 @@ data extremes, which bracket the fixed point from both sides.
 from __future__ import annotations
 
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,8 +135,7 @@ def _time_independent(fieldlike):
     return sympy.Symbol("t") not in expr.free_symbols
 
 
-GEOMETRY_CACHE_SIZE = 4    # geometries held per process, least recently used dropped
-_GEOMETRIES = OrderedDict()
+_held = {}      # the most recent geometry: at most one key and its arrays
 
 
 def _geometry(G, grid, delta, samples, subset):
@@ -179,9 +178,9 @@ class Scheme:
     set), and the update of a stack of fields bound to it.
 
     The geometry's arrays are built once per content key and shared,
-    read-only, by every Scheme of equal content while the key stays among
-    the GEOMETRY_CACHE_SIZE most recently used; the horizon, h, the data and
-    the step settings are not part of it."""
+    read-only, by every Scheme of equal content while its key is the most
+    recent one; the horizon, h, the data and the step settings are not part
+    of the key."""
 
     def __init__(self, problem, config=None, node_subset=None):
         config = config or SolverConfig()
@@ -193,12 +192,11 @@ class Scheme:
         key = (G.layer_dims, G.structure.tobytes(), np.array(grid.box).tobytes(),
                grid.cells, delta, config.direction_samples,
                None if subset is None else subset.tobytes())
-        geometry = _GEOMETRIES.pop(key, None)     # back in below as the most recent
+        geometry = _held.get(key)
         if geometry is None:
+            _held.clear()       # before the build, so two are never held at once
             geometry = _geometry(G, grid, delta, config.direction_samples, subset)
-        _GEOMETRIES[key] = geometry
-        while len(_GEOMETRIES) > GEOMETRY_CACHE_SIZE:
-            _GEOMETRIES.popitem(last=False)
+            _held[key] = geometry
         self.__dict__.update(geometry)
 
     def gradient(self, W):

@@ -138,9 +138,12 @@ def test_integral_values_of_integer_settings_still_parse():
 @pytest.mark.parametrize("brackets,match", [
     ([[0, 1.5, 2, 1.0]], "key 'brackets' must be an integer, got 1.5"),
     ([[0, 1, 2]], r"key 'brackets' needs \[i, j, k, value\] entries, got \[0, 1, 2\]"),
-    ([[0, 1, 2, "1"]], "key 'brackets' needs a number as value, got '1'"),
+    ([[0, 1, 2, "1"]], "key 'brackets' needs a finite number as value, got '1'"),
+    ([[0, 1, 2, float("nan")]], "key 'brackets' needs a finite number as value, got nan"),
+    ([[0, 1, 2, float("inf")]], "key 'brackets' needs a finite number as value, got inf"),
     ("0 1 2 1", "key 'brackets' must be a list"),
-], ids=["fractional_index", "three_items", "string_value", "string_table"])
+], ids=["fractional_index", "three_items", "string_value", "nan_value", "inf_value",
+        "string_table"])
 def test_malformed_brackets_name_their_key(brackets, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(json.dumps(dict(HEIS_SPEC, group={"layers": [2, 1],

@@ -308,22 +308,46 @@ def test_cached_geometry_is_read_only():
             a[...] = 0
 
 
-def test_geometry_cache_drops_the_least_recently_used():
-    size = solver.GEOMETRY_CACHE_SIZE
+def test_a_new_geometry_replaces_the_held_one():
     base = make_problem(heisenberg_group(), _CUBE, (4, 4, 4), 2.0, "x1*x2")
-    samples = iter(range(20, 20 + 4 * size, 2))     # all above base's 16
     first = Scheme(base).operator
-    for _ in range(size - 1):
-        Scheme(base, SolverConfig(direction_samples=next(samples)))
-    assert Scheme(base).operator is first       # held, and now the most recent
-    Scheme(base, SolverConfig(direction_samples=next(samples)))
-    assert Scheme(base).operator is first       # the one dropped was older
-    for _ in range(size):
-        Scheme(base, SolverConfig(direction_samples=next(samples)))
+    assert Scheme(base).operator is first
+    Scheme(base, SolverConfig(direction_samples=20))
     again = Scheme(base).operator
     assert again is not first
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(again.matrix, name), getattr(first.matrix, name))
+
+
+def test_a_new_geometry_is_built_after_the_held_one_is_dropped():
+    # two geometries of one size, one after the other, with no caller
+    # holding the first: the peak resident memory must not grow by the
+    # first's arrays while the second is built
+    script = (
+        "import resource\n"
+        "from carnotpde import (CauchyDirichletProblem, GridSpec, ScalarField,\n"
+        "                       heisenberg_group)\n"
+        "from carnotpde.solver import Scheme\n"
+        "f = ScalarField.from_expression('x1', 3)\n"
+        "def scheme(lo):\n"
+        "    grid = GridSpec(box=((lo, lo + 2), (-1, 1), (-1, 1)), cells=(32,) * 3)\n"
+        "    return Scheme(CauchyDirichletProblem(heisenberg_group(), grid, 2.0, f, f))\n"
+        "def peak():\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+        "s = scheme(-1.0)\n"
+        "M = s.operator.matrix\n"
+        "held = sum(a.nbytes for a in (s.coords, s.coords_interior, M.data,\n"
+        "                              M.indices, M.indptr))\n"
+        "del s, M\n"
+        "first = peak()\n"
+        "scheme(0.0)\n"
+        "print(held, peak() - first)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    held, growth = map(int, out.split())
+    assert held > 30 * 2 ** 20
+    assert growth < held / 2, (held, growth)
 
 
 def test_invalid_node_subset_raises_on_every_call():

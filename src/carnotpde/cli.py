@@ -127,14 +127,18 @@ def parse_config(text):
             f"box has {grid.ndim} axes but group '{group.label}' has "
             f"{group.total_dim} coordinates")
 
-    dim = group.total_dim
-    psi = ScalarField.from_expression(_require(data, "psi", str), dim)
-    g = ScalarField.from_expression(_require(data, "g", str), dim)
-    for name, fld in (("psi", psi), ("g", g)):
-        probe = fld(grid.coords(np.arange(0, grid.node_count,
-                                          max(1, grid.node_count // 64))), 0.0)
-        if not np.all(np.isfinite(probe)):
-            raise ConfigError(f"expression '{name}' is not finite on the box")
+    probe = grid.coords(np.arange(0, grid.node_count, max(1, grid.node_count // 64)))
+    data_fields = []
+    for name in ("psi", "g"):
+        # a non-finite value is reported below, not warned about on the way
+        with np.errstate(all="ignore"):
+            fld = ScalarField.from_expression(_require(data, name, str), group.total_dim)
+            try:
+                fld(probe, 0.0)
+            except FloatingPointError:
+                raise ConfigError(f"expression '{name}' is not finite on the box") from None
+        data_fields.append(fld)
+    psi, g = data_fields
 
     experiments = data.get("experiments", sorted(EXPERIMENTS))
     if not isinstance(experiments, list):

@@ -1,17 +1,26 @@
 """Scalar fields on a group: evaluable maps (point, time) -> real.
 
-A field is either backed by a sympy expression (exact derivatives, the
-"analytic" route) or by a plain callable (central finite differences).
-Callables must be safe for concurrent, vectorized evaluation: they receive
-coordinate arrays of shape (..., N) and a scalar time.
+A field is either analytic (exact derivatives from its sympy expression) or
+backed by a plain callable (central finite differences).  An expression
+string is checked against the grammar and compiled to a numpy function when
+the field is defined; the field evaluates that function, the expression as
+written in float64, and builds its sympy expression only on the first read
+of ``expr``, which the derivative paths make.  ``scale``, ``shift`` and
+``+`` combine the operands' functions and expressions the same way.  A
+sympy expression given as input is lambdified.  Callables must be safe for
+concurrent, vectorized evaluation: they receive coordinate arrays of shape
+(..., N) and a scalar time.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import sympy
 
-from .expressions import coordinate_symbols, parse_expression
+from . import expressions
+from .expressions import coordinate_symbols
 
 _EPS = np.finfo(float).eps
 _H1 = _EPS ** (1.0 / 3.0)  # first-derivative step scale
@@ -19,33 +28,49 @@ _H2 = _EPS ** 0.25         # second-derivative step scale
 
 
 class ScalarField:
-    """Deterministic scalar field u(p, t) on R^N x R."""
+    """Deterministic scalar field u(p, t) on R^N x R.
 
-    def __init__(self, fn, dim, smoothness="numeric-callable", expr=None, symbols=None):
+    ``make_expr`` builds an analytic field's sympy expression (called once,
+    on the first read of ``expr``); ``time_dependent`` says whether that
+    expression names t, and is None for a callable field."""
+
+    def __init__(self, fn, dim, make_expr=None, time_dependent=None):
         self._fn = fn
         self.dim = int(dim)
-        self.smoothness = smoothness
-        self.expr = expr
-        self._symbols = symbols
+        self._make_expr = None if make_expr is None else functools.cache(make_expr)
+        self.time_dependent = time_dependent
+        self.smoothness = "numeric-callable" if make_expr is None else "analytic-polynomial"
         self._grad_fn = None
         self._hess_fn = None
         self._dt_fn = None
+
+    @property
+    def expr(self):
+        """The sympy expression of an analytic field; None for a callable."""
+        return None if self._make_expr is None else self._make_expr()
+
+    @functools.cached_property
+    def _symbols(self):
+        return coordinate_symbols(self.dim)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_expression(cls, text, dim):
-        """Build an analytic field from an expression string (or sympy expr)."""
-        symbols = coordinate_symbols(dim)
+        """Build an analytic field from an expression string (or sympy expr).
+
+        A string that does not fit the grammar raises ExpressionError here."""
         if isinstance(text, str):
-            expr = parse_expression(text, dim)
-        else:
-            expr = sympy.sympify(text)
+            fn, names_time = expressions.compile_expression(text, dim)
+            return cls(_wrap_compiled(fn, dim), dim,
+                       lambda: expressions.parse_expression(text, dim), names_time)
+        expr = sympy.sympify(text)
+        symbols = coordinate_symbols(dim)
         # docstring_limit=0: the same generated source, without the str(expr)
         # of a docstring that nothing reads
         fn = sympy.lambdify(symbols, expr, modules="numpy", docstring_limit=0)
-        return cls(_wrap_lambdified(fn, dim), dim,
-                   smoothness="analytic-polynomial", expr=expr, symbols=symbols)
+        return cls(_wrap_lambdified(fn, dim), dim, lambda: expr,
+                   symbols[-1] in expr.free_symbols)
 
     @classmethod
     def from_callable(cls, fn, dim):
@@ -134,27 +159,32 @@ class ScalarField:
 
     # -- arithmetic helpers (used by experiments) ---------------------
 
+    def _combine(self, fn, make_expr, other=None):
+        """The field evaluated by fn; analytic, with expression make_expr(),
+        when every operand is."""
+        operands = (self,) if other is None else (self, other)
+        if any(f._make_expr is None for f in operands):
+            return ScalarField(fn, self.dim)
+        return ScalarField(fn, self.dim, make_expr,
+                           any(f.time_dependent for f in operands))
+
     def scale(self, factor):
-        if self.expr is not None:
-            return ScalarField.from_expression(self.expr * sympy.Number(factor), self.dim)
         fn = self._fn
-        return ScalarField(lambda c, t: factor * np.asarray(fn(c, t), dtype=float), self.dim)
+        return self._combine(lambda c, t: factor * np.asarray(fn(c, t), dtype=float),
+                             lambda: self.expr * sympy.Number(factor))
 
     def shift(self, offset):
-        if self.expr is not None:
-            return ScalarField.from_expression(self.expr + sympy.Number(offset), self.dim)
         fn = self._fn
-        return ScalarField(lambda c, t: np.asarray(fn(c, t), dtype=float) + offset, self.dim)
+        return self._combine(lambda c, t: np.asarray(fn(c, t), dtype=float) + offset,
+                             lambda: self.expr + sympy.Number(offset))
 
     def __add__(self, other):
-        if isinstance(other, ScalarField):
-            if self.expr is not None and other.expr is not None:
-                return ScalarField.from_expression(self.expr + other.expr, self.dim)
-            f, g = self._fn, other._fn
-            return ScalarField(
-                lambda c, t: np.asarray(f(c, t), dtype=float) + np.asarray(g(c, t), dtype=float),
-                self.dim)
-        return self.shift(float(other))
+        if not isinstance(other, ScalarField):
+            return self.shift(float(other))
+        f, g = self._fn, other._fn
+        return self._combine(
+            lambda c, t: np.asarray(f(c, t), dtype=float) + np.asarray(g(c, t), dtype=float),
+            lambda: self.expr + other.expr, other)
 
     def __mul__(self, factor):
         return self.scale(float(factor))
@@ -162,12 +192,30 @@ class ScalarField:
     __rmul__ = __mul__
 
 
+def _wrap_compiled(fn, dim):
+    """A compiled expression (``expressions.compile_expression``) as a
+    function of coordinates (..., N) and time."""
+    def call(coords, t):
+        coords = np.asarray(coords, dtype=float)
+        args = [coords[..., i] for i in range(dim)] + [np.float64(t)]
+        return np.broadcast_to(fn(args), coords.shape[:-1]).copy()
+    return call
+
+
+def _real(val):
+    """val as a float array; a complex value raises instead of losing its
+    imaginary part."""
+    val = np.asarray(val)
+    if np.iscomplexobj(val):
+        raise ValueError("field evaluation produced complex values")
+    return val.astype(float, copy=False)
+
+
 def _wrap_lambdified(fn, dim):
     def call(coords, t):
         coords = np.asarray(coords, dtype=float)
         args = [coords[..., i] for i in range(dim)] + [t]
-        val = fn(*args)
-        return np.broadcast_to(np.asarray(val, dtype=float), coords.shape[:-1]).copy()
+        return np.broadcast_to(_real(fn(*args)), coords.shape[:-1]).copy()
     return call
 
 
@@ -183,6 +231,6 @@ def _wrap_lambdified_array(fn, dim, shape):
             entry = vals
             for i in index:
                 entry = entry[i]
-            out[(...,) + index] = entry
+            out[(...,) + index] = _real(entry)
         return out
     return call

@@ -139,7 +139,14 @@ class StencilOperator:
         """Values at every flow target: shape (D, K) for one field's node
         values and datum vector, (D, K, B) for a (B, nodes) stack and a
         sequence of B datum vectors."""
-        out = self.matrix @ values.T
+        if values.ndim == 2 and len(values) > 1:
+            # one matvec per field: bit-identical to one csr_matvecs over
+            # the stack, and faster than it for B >= 2
+            out = np.empty((self.matrix.shape[0], len(values)))
+            for b, row in enumerate(values):
+                out[:, b] = self.matrix @ row
+        else:
+            out = self.matrix @ values.T
         if self.outside.size:
             if datum is None:
                 raise ValueError("stencil leaves the box but no datum was given")

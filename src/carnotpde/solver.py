@@ -42,7 +42,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 from . import groups
 from .grid import GridFunction, GridSpec, build_stencil
@@ -129,10 +128,8 @@ def _norm(components):
 
 
 def _time_independent(fieldlike):
-    expr = getattr(fieldlike, "expr", None)
-    if expr is None:
-        return False
-    return sympy.Symbol("t") not in expr.free_symbols
+    """Whether the field's expression does not name t; False when unknown."""
+    return getattr(fieldlike, "time_dependent", None) is False
 
 
 _held = {}      # the most recent geometry: at most one key and its arrays

@@ -77,6 +77,19 @@ def test_unknown_coordinate_is_rejected():
         parse_config(json.dumps(cfg))
 
 
+@pytest.mark.parametrize("psi", ["(-1)**0.5*x1", "1/0 + x1", "x1/0"])
+def test_non_finite_data_exits_one_naming_the_expression(tmp_path, capsys, psi):
+    # (-1)**0.5 was a complex value whose imaginary part was dropped (u = -0
+    # was solved), and 1/0 ended in a KeyError traceback from lambdify
+    with pytest.raises(ConfigError, match="expression 'psi' is not finite on the box"):
+        parse_config(json.dumps(dict(MINIMAL, psi=psi)))
+    path = write_config(tmp_path, psi=psi)
+    assert main(["--out", str(tmp_path / "out"), "solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: expression 'psi' is not finite on the box\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_group_and_box_dimensions_must_agree():
     with pytest.raises(ConfigError, match="axes"):
         parse_config(json.dumps(dict(MINIMAL, group="heisenberg1")))

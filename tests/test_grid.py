@@ -235,3 +235,22 @@ def operator_digests(name):
 @pytest.mark.parametrize("name", sorted(GEOMETRIES))
 def test_stencil_operator_arrays_are_bit_identical_to_the_recorded_build(name):
     assert operator_digests(name) == OPERATOR_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["heisenberg_9", "plane_r03", "line_129"])
+@pytest.mark.parametrize("B", [1, 2, 3])
+def test_stack_apply_is_one_csr_matvecs_bit_for_bit(name, B):
+    # B >= 2 runs one matvec per field; its values must be the single
+    # csr_matvecs product over the stack, datum rows included
+    G, box, cells, config = GEOMETRIES[name]
+    f = ScalarField.from_expression("x1", G.total_dim)
+    problem = CauchyDirichletProblem(G, GridSpec(box=box, cells=cells), 2.0, f, f)
+    op = Scheme(problem, SolverConfig(**config)).operator
+    rng = np.random.default_rng(B)
+    U = rng.uniform(-1.0, 1.0, (B, op.matrix.shape[1]))
+    data = [rng.uniform(-1.0, 1.0, op.outside.size) for _ in range(B)]
+    expected = op.matrix @ U.T
+    expected[op.outside] = np.transpose(data)
+    out = op.apply(U, data)
+    assert out.shape == (op.n_directions, op.matrix.shape[0] // op.n_directions, B)
+    assert np.array_equal(out.reshape(expected.shape), expected)

@@ -106,7 +106,8 @@ _NUMPY = _Target(
     np.float64, {kind: _lift(op) for kind, op in _BINOPS.items()}, _lift(operator.neg),
     {"min": _lift(lambda *a: functools.reduce(np.minimum, a)),
      "max": _lift(lambda *a: functools.reduce(np.maximum, a)),
-     "abs": _lift(np.abs)})
+     # one operand only: np.abs's second positional argument is ``out``
+     "abs": _lift(lambda a: np.abs(a))})
 
 
 def _fail(node, message):
@@ -144,5 +145,7 @@ def _walk(node, names, target):
         args = [_walk(a, names, target) for a in node.args]
         if not args:
             _fail(node, f"{node.func.id}() needs at least one argument")
+        if node.func.id == "abs" and len(args) != 1:
+            _fail(node, "abs() takes exactly one argument")
         return target.functions[node.func.id](*args)
     _fail(node, f"syntax element {type(node).__name__} not allowed")

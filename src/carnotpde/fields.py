@@ -39,7 +39,6 @@ class ScalarField:
         self.dim = int(dim)
         self._make_expr = None if make_expr is None else functools.cache(make_expr)
         self.time_dependent = time_dependent
-        self.smoothness = "numeric-callable" if make_expr is None else "analytic-polynomial"
         self._grad_fn = None
         self._hess_fn = None
         self._dt_fn = None
@@ -198,7 +197,13 @@ def _wrap_compiled(fn, dim):
     def call(coords, t):
         coords = np.asarray(coords, dtype=float)
         args = [coords[..., i] for i in range(dim)] + [np.float64(t)]
-        return np.broadcast_to(fn(args), coords.shape[:-1]).copy()
+        out = fn(args)
+        # most expressions compute a fresh array of the output shape; a bare
+        # name gives a view of coords and a constant a scalar, which are copied
+        if (not isinstance(out, np.ndarray) or out.shape != coords.shape[:-1]
+                or np.may_share_memory(out, coords)):
+            out = np.broadcast_to(out, coords.shape[:-1]).copy()
+        return out
     return call
 
 

@@ -141,7 +141,11 @@ class StencilOperator:
         sequence of B datum vectors."""
         if values.ndim == 2 and len(values) > 1:
             # one matvec per field: bit-identical to one csr_matvecs over
-            # the stack, and faster than it for B >= 2
+            # the stack, and faster than it for B >= 2.  B = 1 keeps the
+            # single call: the per-row form, with its copy into the output,
+            # took 3.8 against 3.3 ms per 33^3 apply and read solve_s
+            # 1.55 -> 1.68 s on heis33_march and 3.22 -> 3.33 s on
+            # line129_flow (medians of 6 benchmark pairs, 2/6 wins on each)
             out = np.empty((self.matrix.shape[0], len(values)))
             for b, row in enumerate(values):
                 out[:, b] = self.matrix @ row

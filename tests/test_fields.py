@@ -124,6 +124,7 @@ def expressions_at_points(draw):
 @settings(max_examples=300, deadline=None)
 def test_compiled_field_is_the_numpy_evaluation_of_its_text(case):
     text, dim, coords, t = case
+    before = coords.copy()
     with np.errstate(all="ignore"):
         field = ScalarField.from_expression(text, dim)
         expected = numpy_eval(text, coords, t)
@@ -132,6 +133,7 @@ def test_compiled_field_is_the_numpy_evaluation_of_its_text(case):
                 field(coords, t)
             return
         got = field(coords, t)
+    assert np.array_equal(coords, before)
     assert got.shape == coords.shape[:-1]
     assert np.array_equal(got.view(np.int64), np.ascontiguousarray(expected).view(np.int64))
 
@@ -219,6 +221,21 @@ def test_arithmetic_combines_the_compiled_functions():
     assert (u + callable_field).time_dependent is None
 
 
+@pytest.mark.parametrize("text", ["abs(x1)", "abs(-x2) * x1", "x1", "+x2", "min(x1)",
+                                  "max(x1, x2, t)", "t", "2.5", "abs(t)"])
+@pytest.mark.parametrize("frozen", [False, True])
+def test_evaluation_leaves_the_coordinates_unchanged(text, frozen):
+    coords = np.random.default_rng(5).uniform(-1, 1, (6, 2))
+    before = coords.copy()
+    coords.setflags(write=not frozen)
+    f = ScalarField.from_expression(text, 2)
+    out = f(coords, -0.5)
+    assert out.shape == (6,)
+    assert np.array_equal(coords, before)
+    assert not np.shares_memory(out, coords)
+    assert np.array_equal(f(coords[0], -0.5), out[0])
+
+
 # -- grammar checks at definition --------------------------------------
 
 
@@ -236,6 +253,9 @@ REJECTIONS = [
     ("min(x1, key=x2)", "column 0: keyword arguments are not allowed"),
     ("min()", "column 0: min() needs at least one argument"),
     ("abs(*[x1])", "column 4: syntax element Starred not allowed"),
+    ("abs(x1, x2)", "column 0: abs() takes exactly one argument"),
+    ("abs(t, x1)", "column 0: abs() takes exactly one argument"),
+    ("abs()", "column 0: abs() needs at least one argument"),
     ("'a'", "column 0: literal 'a' is not numeric"),
     ("True", "column 0: literal True is not numeric"),
     ("1j", "column 0: literal 1j is not numeric"),

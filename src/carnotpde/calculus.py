@@ -5,8 +5,8 @@ Two independent computation routes are kept deliberately separate:
 * the twist route converts a Euclidean jet with the frame matrices and the
   first-order correction matrix (exact polynomial frame entries);
 * the direct route composes the left-invariant vector fields themselves,
-  symbolically for expression-backed fields and by nested flow differences
-  for plain callables.
+  symbolically for expression-backed fields (``ScalarField.derivative``, one
+  key per group content) and by nested flow differences for plain callables.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sympy
 
 from . import groups
 from .expressions import coordinate_symbols
-from .fields import ScalarField, _H2, _wrap_lambdified_array
+from .fields import _H2
 
 
 @dataclass
@@ -157,7 +157,7 @@ def symbolic_frame(G):
                 bb = _symbolic_bracket(G, xs, b)
                 row = [row[j] + bb[j] / 12 for j in range(G.total_dim)]
             rows.append([sympy.expand(r) for r in row])
-        _SYMBOLIC_FRAMES[key] = (xs, rows)
+        _SYMBOLIC_FRAMES[key] = rows
     return _SYMBOLIC_FRAMES[key]
 
 
@@ -184,35 +184,24 @@ def semi_horizontal_gradient(G, f, p, t=0.0):
 
 def symmetrized_hessian(G, f, p, t=0.0):
     """Symmetrized horizontal Hessian by direct vector-field composition."""
-    if f.expr is not None:
-        return _symbolic_hessian_fn(G, f)(p, t)
-    return _numeric_hessian(G, f, p, t)
+    if f.expr is None:
+        return _numeric_hessian(G, f, p, t)
+    n1 = G.horizontal_dim
+    return f.derivative(("hhess",) + _group_key(G),
+                        lambda expr, xs: _symbolic_hessian(G, expr, xs), (n1, n1))(p, t)
 
 
-def _symbolic_hessian_fn(G, f):
-    cache = getattr(f, "_hhess_cache", None)
-    if cache is None:
-        cache = {}
-        f._hhess_cache = cache
-    key = _group_key(G)
-    if key not in cache:
-        xs, rows = symbolic_frame(G)
-        subs = dict(zip(xs, f._symbols[: G.total_dim]))
-        rows = [[entry.subs(subs) for entry in row] for row in rows]
-        n1 = G.horizontal_dim
+def _symbolic_hessian(G, expr, xs):
+    """Entries (X_i X_j + X_j X_i) expr / 2 over the symbols xs of a field."""
+    rows = symbolic_frame(G)
+    n1 = G.horizontal_dim
 
-        def apply_field(i, expr):
-            return sum(rows[i][j] * sympy.diff(expr, f._symbols[j])
-                       for j in range(G.total_dim))
+    def apply_field(i, e):
+        return sum(rows[i][j] * sympy.diff(e, xs[j]) for j in range(G.total_dim))
 
-        firsts = [apply_field(i, f.expr) for i in range(n1)]
-        entries = [[sympy.expand((apply_field(i, firsts[j])
-                                  + apply_field(j, firsts[i])) / 2)
-                    for j in range(n1)] for i in range(n1)]
-        cache[key] = _wrap_lambdified_array(
-            sympy.lambdify(f._symbols, entries, modules="numpy", docstring_limit=0),
-            G.total_dim, (n1, n1))
-    return cache[key]
+    firsts = [apply_field(i, expr) for i in range(n1)]
+    return [[sympy.expand((apply_field(i, firsts[j]) + apply_field(j, firsts[i])) / 2)
+             for j in range(n1)] for i in range(n1)]
 
 
 def _numeric_hessian(G, f, p, t):

@@ -19,11 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .expressions import ExpressionError
-from .experiments import EXPERIMENTS, PreconditionError, append_to_ledger, run_experiment
+from .experiments import EXPERIMENTS, append_to_ledger, run_experiment
 from .fields import ScalarField
 from .grid import GridSpec
-from .groups import GroupSpecError, group_preset, make_group
+from .groups import group_preset, make_group
 from .solver import CauchyDirichletProblem, SolverConfig, SolverError, solve_parabolic
 
 
@@ -243,12 +242,13 @@ def main(argv=None):
     if args.command == "list":
         print(list_experiments())
         return 0
+    # ValueError covers every config error; FloatingPointError, non-finite data
     try:
         config = parse_config(Path(args.config).read_text())
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ExpressionError, GroupSpecError, ValueError) as exc:
+    except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.seed is not None:
@@ -258,8 +258,7 @@ def main(argv=None):
         if args.command == "solve":
             return run_solve(config, out_dir, args.quiet)
         return run_verify(config, out_dir, args.quiet)
-    except (PreconditionError, ExpressionError, GroupSpecError, SolverError,
-            ConfigError, ValueError) as exc:
+    except (ValueError, SolverError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from operator import mul
 
 import numpy as np
-import sympy
 
 from . import calculus, groups, operators
 from .calculus import PenaltySpec
@@ -112,8 +111,8 @@ def comparison_experiment(problem, config, u0, v0):
             raise PreconditionError(
                 f"boundary data are not ordered at t={t:.3g}: gap {bgap:.3e}")
 
-    stack = Stack([Binding(scheme, u0, u0, problem.h, config),
-                   Binding(scheme, v0, v0, problem.h, config)])
+    stack = Stack([Binding(scheme, u0, u0, problem.h),
+                   Binding(scheme, v0, v0, problem.h)])
     gap = stack.U[0] - stack.U[1]
     worst, worst_at = float(gap.max()), (int(np.argmax(gap)), 0.0)
     for _ in march(stack, config, [grid.horizon]):
@@ -134,8 +133,8 @@ def boundary_stability_experiment(problem, config, g1, g2):
     lateral nodes and the off-box datum vectors."""
     elapsed = _timer()
     scheme = Scheme(problem, config)
-    stack = Stack([Binding(scheme, g1, g1, problem.h, config),
-                   Binding(scheme, g2, g2, problem.h, config)])
+    stack = Stack([Binding(scheme, g1, g1, problem.h),
+                   Binding(scheme, g2, g2, problem.h)])
     gap = np.abs(stack.U[0] - stack.U[1])
     data_gap = sol_gap = float(gap.max())         # initial slice
     t_read = stack.t                              # the datum a step reads
@@ -182,9 +181,9 @@ def homogeneity_experiment(problem, config, k):
     c = k ** (1.0 / (h - 1.0))
 
     scheme = Scheme(problem, config)
-    u = Stack.of(scheme, problem, config)
-    v = Stack([Binding(scheme, problem.psi * c, problem.g * c, h, replace(
-        config, gradient_threshold=c * u.fields[0].eps_g))])
+    u = Stack.of(scheme, problem)
+    v = Stack([Binding(scheme, problem.psi * c, problem.g * c, h,
+                       c * u.fields[0].eps_g)])
     dt = 0.5 * u.cfl_dt(config)[0]
     steps = max(4, int(round(problem.grid.horizon / dt)))
 
@@ -218,7 +217,7 @@ def long_time_experiment(problem, config, n_pairs=8):
     # (ratio 2^(1/4), so adjacent captures satisfy tau <= t/4), until the sup
     # change per unit time between captures falls below steady_tolerance/10.
     scheme = Scheme(problem, config)
-    stack = Stack.of(scheme, problem, config)
+    stack = Stack.of(scheme, problem)
     data_sup = float(np.abs(stack.U).max())
     caps = itertools.accumulate(itertools.repeat(2.0 ** 0.25), mul,
                                 initial=8.0 * stack.cfl_dt(config)[0])
@@ -348,16 +347,11 @@ def doubling_penalty_experiment(G, u, v, penalty, tau_sequence):
 
 
 def _polynomial_corpus(dim, max_degree=3):
-    """All nonconstant monomials x^alpha with |alpha| <= max_degree."""
-    xs = sympy.symbols(f"x1:{dim + 1}")
-    corpus = []
-    for total in range(1, max_degree + 1):
-        for alpha in itertools.combinations_with_replacement(range(dim), total):
-            expr = sympy.Integer(1)
-            for i in alpha:
-                expr *= xs[i]
-            corpus.append(ScalarField.from_expression(expr, dim))
-    return corpus
+    """All nonconstant monomials x^alpha with |alpha| <= max_degree, as
+    text such as ``x1*x1*x2``."""
+    return [ScalarField.from_expression("*".join(f"x{i + 1}" for i in alpha), dim)
+            for total in range(1, max_degree + 1)
+            for alpha in itertools.combinations_with_replacement(range(dim), total)]
 
 
 def jet_twist_oracle_check(G, corpus=None, n_points=8, rng=None):

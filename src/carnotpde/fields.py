@@ -1,15 +1,17 @@
 """Scalar fields on a group: evaluable maps (point, time) -> real.
 
-A field is either analytic (exact derivatives from its sympy expression) or
-backed by a plain callable (central finite differences).  An expression
-string is checked against the grammar and compiled to a numpy function when
-the field is defined; the field evaluates that function, the expression as
-written in float64, and builds its sympy expression only on the first read
-of ``expr``, which the derivative paths make.  ``scale``, ``shift`` and
-``+`` combine the operands' functions and expressions the same way.  A
-sympy expression given as input is lambdified.  Callables must be safe for
-concurrent, vectorized evaluation: they receive coordinate arrays of shape
-(..., N) and a scalar time.
+A field is either analytic, defined by expression text, or backed by a plain
+callable (central finite differences).  Expression text is checked against
+the grammar and compiled to a numpy function when the field is defined; the
+field evaluates that function, the expression as written in float64, and
+builds its sympy expression only on the first read of ``expr``.  Every exact
+derivative (gradient, Hessian, time slope and the calculus module's
+horizontal Hessian) goes through ``ScalarField.derivative``, which
+lambdifies the derivative's sympy entries once per key, each float literal
+printed as the double it holds.  ``scale``, ``shift`` and ``+`` combine the
+operands' functions and expressions the same way.  Callables must be safe
+for concurrent, vectorized evaluation: they receive coordinate arrays of
+shape (..., N) and a scalar time.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import functools
 
 import numpy as np
 import sympy
+from sympy.printing.numpy import NumPyPrinter
 
 from . import expressions
 from .expressions import coordinate_symbols
@@ -39,45 +42,30 @@ class ScalarField:
         self.dim = int(dim)
         self._make_expr = None if make_expr is None else functools.cache(make_expr)
         self.time_dependent = time_dependent
-        self._grad_fn = None
-        self._hess_fn = None
-        self._dt_fn = None
+        self._derivatives = {}
 
     @property
     def expr(self):
         """The sympy expression of an analytic field; None for a callable."""
         return None if self._make_expr is None else self._make_expr()
 
-    @functools.cached_property
-    def _symbols(self):
-        return coordinate_symbols(self.dim)
-
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_expression(cls, text, dim):
-        """Build an analytic field from an expression string (or sympy expr).
+        """Build an analytic field from expression text.
 
-        A string that does not fit the grammar raises ExpressionError here."""
-        if isinstance(text, str):
-            fn, names_time = expressions.compile_expression(text, dim)
-            return cls(_wrap_compiled(fn, dim), dim,
-                       lambda: expressions.parse_expression(text, dim), names_time)
-        expr = sympy.sympify(text)
-        symbols = coordinate_symbols(dim)
-        # docstring_limit=0: the same generated source, without the str(expr)
-        # of a docstring that nothing reads
-        fn = sympy.lambdify(symbols, expr, modules="numpy", docstring_limit=0)
-        return cls(_wrap_lambdified(fn, dim), dim, lambda: expr,
-                   symbols[-1] in expr.free_symbols)
+        Text that does not fit the grammar raises ExpressionError here, and
+        anything but a string raises TypeError."""
+        if not isinstance(text, str):
+            raise TypeError(f"an expression must be a string, not {type(text).__name__}")
+        fn, names_time = expressions.compile_expression(text, dim)
+        return cls(_wrap_compiled(fn, dim), dim,
+                   lambda: expressions.parse_expression(text, dim), names_time)
 
     @classmethod
     def from_callable(cls, fn, dim):
         return cls(fn, dim)
-
-    @classmethod
-    def constant(cls, value, dim):
-        return cls.from_expression(sympy.Number(value), dim)
 
     # -- evaluation ---------------------------------------------------
 
@@ -88,16 +76,29 @@ class ScalarField:
             raise FloatingPointError("field evaluation produced non-finite values")
         return out
 
+    def derivative(self, key, make_entries, shape):
+        """The exact derivative named ``key`` of an analytic field, as a
+        function of (coords, t) with values of shape (..., *shape).
+        ``make_entries(expr, symbols)`` gives its sympy entries, nested lists
+        of that shape over the symbols x1..xN, t; they are lambdified on the
+        first call with ``key`` and the function is kept with the field."""
+        fn = self._derivatives.get(key)
+        if fn is None:
+            symbols = coordinate_symbols(self.dim)
+            entries = make_entries(self.expr, symbols)
+            # docstring_limit=0: no str(expr) for a docstring that nothing reads
+            fn = sympy.lambdify(symbols, entries, modules="numpy",
+                                printer=_FullPrecisionPrinter(), docstring_limit=0)
+            fn = self._derivatives[key] = _lambdified_array(fn, self.dim, shape)
+        return fn
+
     def euclidean_gradient(self, coords, t=0.0):
         """Spatial gradient, shape (..., N)."""
         coords = np.asarray(coords, dtype=float)
         if self.expr is not None:
-            if self._grad_fn is None:
-                grads = [sympy.diff(self.expr, s) for s in self._symbols[:-1]]
-                fn = sympy.lambdify(self._symbols, grads, modules="numpy",
-                                    docstring_limit=0)
-                self._grad_fn = _wrap_lambdified_array(fn, self.dim, (self.dim,))
-            return self._grad_fn(coords, t)
+            return self.derivative(
+                "grad", lambda expr, xs: [sympy.diff(expr, x) for x in xs[:-1]],
+                (self.dim,))(coords, t)
         out = np.empty(coords.shape, dtype=float)
         for i in range(self.dim):
             h = _H1 * (1.0 + np.abs(coords[..., i]))
@@ -113,13 +114,9 @@ class ScalarField:
         coords = np.asarray(coords, dtype=float)
         n = self.dim
         if self.expr is not None:
-            if self._hess_fn is None:
-                xs = self._symbols[:-1]
-                rows = [[sympy.diff(self.expr, a, b) for b in xs] for a in xs]
-                fn = sympy.lambdify(self._symbols, rows, modules="numpy",
-                                    docstring_limit=0)
-                self._hess_fn = _wrap_lambdified_array(fn, n, (n, n))
-            return self._hess_fn(coords, t)
+            return self.derivative(
+                "hess", lambda expr, xs: [[sympy.diff(expr, a, b) for b in xs[:-1]]
+                                          for a in xs[:-1]], (n, n))(coords, t)
         out = np.empty(coords.shape + (n,), dtype=float)
         base = self(coords, t)
         for i in range(n):
@@ -148,11 +145,8 @@ class ScalarField:
     def time_slope(self, coords, t=0.0):
         coords = np.asarray(coords, dtype=float)
         if self.expr is not None:
-            if self._dt_fn is None:
-                fn = sympy.lambdify(self._symbols, sympy.diff(self.expr, self._symbols[-1]),
-                                    modules="numpy", docstring_limit=0)
-                self._dt_fn = _wrap_lambdified(fn, self.dim)
-            return np.asarray(self._dt_fn(coords, t), dtype=float)
+            return self.derivative(
+                "dt", lambda expr, xs: sympy.diff(expr, xs[-1]), ())(coords, t)
         h = _H1 * (1.0 + abs(float(t)))
         return (self(coords, t + h) - self(coords, t - h)) / (2.0 * h)
 
@@ -207,24 +201,20 @@ def _wrap_compiled(fn, dim):
     return call
 
 
-def _real(val):
-    """val as a float array; a complex value raises instead of losing its
-    imaginary part."""
-    val = np.asarray(val)
-    if np.iscomplexobj(val):
-        raise ValueError("field evaluation produced complex values")
-    return val.astype(float, copy=False)
+class _FullPrecisionPrinter(NumPyPrinter):
+    """The numpy printer lambdify makes (the same settings), with each float
+    literal printed as the double it holds instead of rounded to 15
+    significant digits."""
+
+    def __init__(self):
+        super().__init__({"fully_qualified_modules": False, "inline": True,
+                          "allow_unknown_functions": True})
+
+    def _print_Float(self, expr):
+        return repr(float(expr))
 
 
-def _wrap_lambdified(fn, dim):
-    def call(coords, t):
-        coords = np.asarray(coords, dtype=float)
-        args = [coords[..., i] for i in range(dim)] + [t]
-        return np.broadcast_to(_real(fn(*args)), coords.shape[:-1]).copy()
-    return call
-
-
-def _wrap_lambdified_array(fn, dim, shape):
+def _lambdified_array(fn, dim, shape):
     """A lambdified nested list of entries of the given shape, evaluated to
     an array of shape (..., *shape)."""
     def call(coords, t):
@@ -236,6 +226,9 @@ def _wrap_lambdified_array(fn, dim, shape):
             entry = vals
             for i in index:
                 entry = entry[i]
-            out[(...,) + index] = _real(entry)
+            # a complex value raises instead of losing its imaginary part
+            if np.iscomplexobj(entry):
+                raise ValueError("field evaluation produced complex values")
+            out[(...,) + index] = entry
         return out
     return call

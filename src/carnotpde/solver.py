@@ -46,6 +46,8 @@ import numpy as np
 from . import groups
 from .grid import GridFunction, GridSpec, build_stencil
 
+MAX_STEPS = 2_000_000     # march steps, policy rounds or bracket sweeps per solve
+
 
 class SolverError(RuntimeError):
     pass
@@ -54,10 +56,8 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     cfl_factor: float = 0.5
-    gradient_threshold: float = None          # default: delta
     direction_samples: int = 16
     steady_tolerance: float = 1e-8            # elliptic solve: certified sup error
-    max_steps: int = 2_000_000
     dt: float = None                          # fixed step override
     stencil_radius: float = None              # default: the grid spacing delta
 
@@ -249,13 +249,12 @@ class Scheme:
 
 class Binding:
     """One field's data on a Scheme's geometry: initial datum psi, lateral
-    datum g, exponent h and gradient threshold eps_g (the config's, delta by
-    default).  g's lateral values and datum vector are evaluated once when g
-    does not depend on t and once per time level otherwise; data_min and
-    data_max bound every data value read so far."""
+    datum g, exponent h and gradient threshold eps_g (delta by default).
+    g's lateral values and datum vector are evaluated once when g does not
+    depend on t and once per time level otherwise; data_min and data_max
+    bound every data value read so far."""
 
-    def __init__(self, scheme, psi, g, h, config=None):
-        eps_g = config.gradient_threshold if config is not None else None
+    def __init__(self, scheme, psi, g, h, eps_g=None):
         self.scheme, self.psi, self.g, self.h = scheme, psi, g, h
         self.eps_g = scheme.delta if eps_g is None else eps_g
         self._static = _time_independent(g)
@@ -310,9 +309,9 @@ class Stack:
         self.max_principle_ok = True      # every step inside the data envelope
 
     @classmethod
-    def of(cls, scheme, problem, config=None):
+    def of(cls, scheme, problem):
         """The one-field stack of a problem at its initial data."""
-        return cls([Binding(scheme, problem.psi, problem.g, problem.h, config)])
+        return cls([Binding(scheme, problem.psi, problem.g, problem.h)])
 
     def cfl_dt(self, config):
         """Each field's CFL step at the stack's current values."""
@@ -327,14 +326,14 @@ def march(stack, config, stops=None):
     land on the next stop exactly and the march ends on the last one;
     without, it runs until the caller stops asking.  Every step checks each
     field against the envelope of the data it has read (the discrete maximum
-    principle) and raises SolverError past ``config.max_steps``.
+    principle) and raises SolverError past ``MAX_STEPS``.
     """
     stops = None if stops is None else iter(stops)
     stop = np.inf if stops is None else next(stops, None)
     while stop is not None:
         stack.scheme.step(stack, config, stop)
-        if stack.steps > config.max_steps:
-            raise SolverError(f"exceeded max_steps={config.max_steps}")
+        if stack.steps > MAX_STEPS:
+            raise SolverError(f"exceeded MAX_STEPS={MAX_STEPS}")
         stack.max_principle_ok = stack.max_principle_ok and all(
             row.min() >= f.data_min - 1e-12 and row.max() <= f.data_max + 1e-12
             for f, row in zip(stack.fields, stack.U))
@@ -382,7 +381,7 @@ def solve_parabolic(problem, config=None, snapshot_times=None, scheme=None):
         raise ValueError("snapshot time beyond the horizon")
     if len(set(times)) < len(times):
         raise ValueError("repeated snapshot time")
-    stack = Stack.of(scheme, problem, config)
+    stack = Stack.of(scheme, problem)
     snapshots = []
     if times[0] <= 1e-14:
         snapshots.append(GridFunction(grid, stack.U[0].copy(), 0.0))
@@ -403,7 +402,7 @@ def solve_to_steady(problem, config=None, scheme=None):
     the fixed point with a certified error."""
     config = config or SolverConfig()
     scheme = scheme or Scheme(problem, config)
-    stack = Stack.of(scheme, problem, config)
+    stack = Stack.of(scheme, problem)
     ref, t_ref = stack.U.copy(), stack.t
     for _ in march(stack, config):
         if stack.steps % 25 == 0:
@@ -424,7 +423,7 @@ def solve_elliptic_steady(problem, config=None, scheme=None):
     directions (a, b) fix the linear map T_ab(u) = (W_a + W_b) / 2, with
     T_ab(u) = T(u) at u; the correction (I - A_ab) du = T(u) - u on the
     interior moves u to T_ab's fixed point.  Rounds repeat until the policy
-    does, at most ``config.max_steps`` of them.  Certificate: with r =
+    does, at most ``MAX_STEPS`` of them.  Certificate: with r =
     max|T(u) - u| and phi the exit time of the final policy, (I - A_ab) phi =
     1, the fields u +- eps phi (eps a few r plus round-off at the data scale)
     are checked to be a super- and a subsolution of T; the comparison
@@ -439,7 +438,7 @@ def solve_elliptic_steady(problem, config=None, scheme=None):
     I = scheme.interior_flat
     round_off = 64.0 * np.finfo(float).eps * max(-field.data_min, field.data_max)
     policy, phi, seen, r_prev = None, None, set(), np.inf
-    for _ in range(config.max_steps):
+    for _ in range(MAX_STEPS):
         W = scheme.operator.apply(u, datum)[:scheme.n_kappa]
         a, b = W.argmax(axis=0), W.argmin(axis=0)
         res = 0.5 * (W.max(axis=0) + W.min(axis=0)) - u[I]
@@ -526,10 +525,10 @@ def _bracket(scheme, field, datum, config):
     I = scheme.interior_flat
     U = np.stack([field.initial(), field.initial()])
     U[0, I], U[1, I] = field.data_min, field.data_max
-    for _ in range(config.max_steps):
+    for _ in range(MAX_STEPS):
         if (U[1] - U[0]).max() < config.steady_tolerance:
             return 0.5 * (U[0] + U[1])
         W = scheme.operator.apply(U, [datum, datum])[:scheme.n_kappa]
         U[:, I] = 0.5 * (W.max(axis=0) + W.min(axis=0)).T
     raise SolverError(
-        f"steady bracket did not close within max_steps={config.max_steps}")
+        f"steady bracket did not close within MAX_STEPS={MAX_STEPS}")

@@ -86,8 +86,8 @@ def ordered_pair_runs():
             if scheme is None:
                 scheme = Scheme(CauchyDirichletProblem(G, grid, h, u0, u0), config)
             u = np.asarray(u0(scheme.coords, 0.0), dtype=float)
-            stack = Stack([Binding(scheme, u0, u0, h, config),
-                           Binding(scheme, v0, v0, h, config)], [u, u + offset])
+            stack = Stack([Binding(scheme, u0, u0, h),
+                           Binding(scheme, v0, v0, h)], [u, u + offset])
             U = stack.U
             worst_order = float((U[0] - U[1]).max())
             sol_gap = float(np.abs(U[0] - U[1]).max())
@@ -308,7 +308,7 @@ def test_criterion_12_consistency_order():
         deltas.append(delta)
         for h, errs in errors.items():
             op, _ = scheme.discrete_operator(values[None], 0.0,
-                                             [Binding(scheme, f, f, h, config)])
+                                             [Binding(scheme, f, f, h)])
             exact = np.array([
                 infinity_laplacian(OperatorParams(h=h), jet.horizontal_gradient, jet.X)
                 for jet in jets])

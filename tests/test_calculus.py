@@ -9,7 +9,6 @@ import itertools
 
 import numpy as np
 import pytest
-import sympy
 
 from carnotpde import calculus, groups
 from carnotpde.calculus import (
@@ -31,15 +30,9 @@ PRESETS = [euclidean_group(2), heisenberg_group(), engel_group()]
 
 
 def degree_three_corpus(dim):
-    xs = sympy.symbols(f"x1:{dim + 1}")
-    fields = []
-    for total in range(1, 4):
-        for alpha in itertools.combinations_with_replacement(range(dim), total):
-            expr = sympy.Integer(1)
-            for i in alpha:
-                expr *= xs[i]
-            fields.append(ScalarField.from_expression(expr, dim))
-    return fields
+    return [ScalarField.from_expression("*".join(f"x{i + 1}" for i in alpha), dim)
+            for total in range(1, 4)
+            for alpha in itertools.combinations_with_replacement(range(dim), total)]
 
 
 # -- frames ----------------------------------------------------------
@@ -241,12 +234,12 @@ def test_symbolic_caches_are_keyed_by_group_content():
         calculus.symbolic_frame(G)
         heis = symmetrized_hessian(G, f, p)
     assert len(calculus._SYMBOLIC_FRAMES) == 1
-    assert len(f._hhess_cache) == 1
+    assert len(f._derivatives) == 1
     # same layer dimensions, different brackets: a separate entry each
     others = [euclidean_group(3), groups.make_group((2, 1), [(0, 1, 2, 2.0)])]
     for k, G in enumerate(others, start=2):
         calculus.symbolic_frame(G)
         other = symmetrized_hessian(G, f, p)
         assert len(calculus._SYMBOLIC_FRAMES) == k
-        assert len(f._hhess_cache) == k
+        assert len(f._derivatives) == k
         assert other.shape != heis.shape or not np.allclose(other, heis)

@@ -90,6 +90,24 @@ def test_non_finite_data_exits_one_naming_the_expression(tmp_path, capsys, psi):
     assert not (tmp_path / "out").exists()
 
 
+HEIS32 = dict(group="heisenberg1", box=[[-1, 1]] * 3, cells=[32] * 3, T=0.01, h=2)
+
+
+@pytest.mark.parametrize("data", [
+    # 1/0 on the lateral faces, read when the problem is built
+    "x1 + 1/(x3 - 0.0625)",
+    # 1/0 at one interior node, read by the solve
+    "x1 + 1/(x1*x1 + x2*x2 + (x3 - 0.0625)**2)",
+])
+def test_data_not_finite_between_the_probed_nodes_exits_one(tmp_path, capsys, data):
+    # the config check probes every 561st node and misses x3 = 0.0625
+    path = write_config(tmp_path, psi=data, g=data, **HEIS32)
+    with np.errstate(all="ignore"):
+        code = main(["--out", str(tmp_path / "out"), "solve", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: field evaluation produced non-finite values\n"
+
+
 def test_group_and_box_dimensions_must_agree():
     with pytest.raises(ConfigError, match="axes"):
         parse_config(json.dumps(dict(MINIMAL, group="heisenberg1")))

@@ -1,5 +1,6 @@
 """Scalar fields: the compiled expression path, its lazy sympy expression,
-the grammar checks at definition and complex values."""
+the one derivative route and its literals, the grammar checks at definition
+and complex values."""
 
 import ast
 import functools
@@ -7,7 +8,7 @@ import functools
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from carnotpde import expressions
@@ -161,6 +162,42 @@ def test_float_literals_keep_every_digit():
     assert f(np.array([1.0]), 0.0) != 0.3
 
 
+@given(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+@example(0.30000000000000004)            # 15 significant digits print it as 0.3
+@settings(max_examples=200, deadline=None)
+def test_derivatives_keep_every_digit_of_a_literal(c):
+    coords = np.array([[0.5], [-1.0]])
+    grad = ScalarField.from_expression(f"{c!r}*x1", 1).euclidean_gradient(coords)
+    slope = ScalarField.from_expression(f"{c!r}*t", 1).time_slope(coords)
+    assert grad.shape == (2, 1) and slope.shape == (2,)
+    assert np.array_equal(grad.view(np.int64), np.full((2, 1), c).view(np.int64))
+    assert np.array_equal(slope.view(np.int64), np.full(2, c).view(np.int64))
+
+
+@pytest.mark.parametrize("value", [sympy.Symbol("x1") ** 2, 0.5, None, b"x1"])
+def test_only_expression_text_defines_an_analytic_field(value):
+    with pytest.raises(TypeError, match="an expression must be a string"):
+        ScalarField.from_expression(value, 1)
+
+
+def test_derivatives_are_lambdified_once_per_key(monkeypatch):
+    calls, lambdify = [], sympy.lambdify
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return lambdify(*args, **kwargs)
+
+    monkeypatch.setattr(sympy, "lambdify", counted)
+    f = ScalarField.from_expression("x1*x2**2 - 0.5*t*x1", 2)
+    p = np.array([[0.25, -0.75], [1.0, 2.0]])
+    for _ in range(3):
+        grad, hess, slope = f.euclidean_gradient(p), f.euclidean_hessian(p), f.time_slope(p)
+    assert len(calls) == 3 and sorted(f._derivatives) == ["dt", "grad", "hess"]
+    assert np.array_equal(grad, [[0.5625, -0.375], [4.0, 4.0]])
+    assert np.array_equal(hess, [[[0.0, -1.5], [-1.5, 0.5]], [[0.0, 4.0], [4.0, 2.0]]])
+    assert np.array_equal(slope, [-0.125, -0.5])
+
+
 def test_operations_run_in_the_written_order():
     # sympy would sum 1e16 - 1e16 first; as written, 1 is lost in 1e16 + 1
     f = ScalarField.from_expression("x1 + 1e16 + 1 - 1e16", 1)
@@ -296,15 +333,18 @@ def test_syntax_errors_raise_at_definition(text):
 
 
 def test_a_complex_sympy_field_raises_instead_of_dropping_the_imaginary_part():
-    x1 = coordinate_symbols(1)[0]
-    f = ScalarField.from_expression(sympy.I * x1 + x1 ** 2, 1)
+    # sympy reads (-1)**0.5 as 1.0*I; the compiled value is nan
     coords = np.array([[0.5], [1.0]])
-    with pytest.raises(ValueError, match="complex"):
-        f(coords, 0.0)
+    with np.errstate(invalid="ignore"):
+        f = ScalarField.from_expression("(-1)**0.5*x1 + x1**2", 1)
+        g = ScalarField.from_expression("(-1)**0.5*x1*t", 1)
+        with pytest.raises(FloatingPointError):
+            f(coords, 0.0)
+    assert f.expr.has(sympy.I)
     with pytest.raises(ValueError, match="complex"):
         f.euclidean_gradient(coords)
     with pytest.raises(ValueError, match="complex"):
-        ScalarField.from_expression(sympy.I * x1 * sympy.Symbol("t"), 1).time_slope(coords)
+        g.time_slope(coords)
 
 
 def test_a_fractional_power_of_a_negative_literal_is_not_finite():

@@ -44,7 +44,7 @@ def at_node(problem, node, config=None):
     problem's initial data on it, and one operator apply of that stack."""
     flat = int(np.ravel_multi_index(node, problem.grid.shape))
     scheme = Scheme(problem, config, node_subset=[flat])
-    stack = Stack.of(scheme, problem, config)
+    stack = Stack.of(scheme, problem)
     W = scheme.operator.apply(stack.U, [stack.fields[0].datum(0.0)])
     return scheme, stack, W
 
@@ -203,7 +203,7 @@ def test_cfl_values():
     config = SolverConfig(cfl_factor=0.5)
 
     def cfl_dt(problem):
-        return Stack.of(Scheme(problem, config), problem, config).cfl_dt(config)[0]
+        return Stack.of(Scheme(problem, config), problem).cfl_dt(config)[0]
 
     h1 = make_problem(euclidean_group(1), ((0, 1),), (8,), 1.0, "x1")
     delta = h1.grid.delta
@@ -258,7 +258,7 @@ def test_schemes_of_equal_content_share_one_geometry():
         (replace(base, grid=replace(base.grid, horizon=0.7)), None),
         (replace(base, h=3.0), None),
         (make_problem(heisenberg_group(), _CUBE, (4, 4, 4), 1.0, "x3 - x1"), None),
-        (base, SolverConfig(cfl_factor=0.3, gradient_threshold=0.1, dt=1e-3)),
+        (base, SolverConfig(cfl_factor=0.3, dt=1e-3)),
         (base, SolverConfig(stencil_radius=base.grid.delta)),
     ]
     for problem, config in same:
@@ -380,7 +380,7 @@ def test_one_step_preserves_affine_data_away_from_the_boundary(G, expr):
     # lateral faces; strictly interior nodes update exactly
     prob = make_problem(G, ((-1, 1),) * G.total_dim, (8,) * G.total_dim, 2.0, expr)
     config = SolverConfig()
-    stack = Stack.of(Scheme(prob, config), prob, config)
+    stack = Stack.of(Scheme(prob, config), prob)
     u = stack.U[0].copy()
     new = next(march(stack, config)).U[0]
     coords = prob.grid.coords()
@@ -650,8 +650,7 @@ def test_stack_march_matches_each_field_marched_alone(name, seed, n_fields, wide
         expr = (f"{c[0]}*x1 + {c[1]}*x{n}*x1 + {c[2]}*x{n}**2"
                 + (f" + {c[3]}*t" if rng.random() < 0.5 else ""))
         spec.append((ScalarField.from_expression(expr, n),
-                     float(rng.choice([1.0, 1.5, 2.0, 3.0])),
-                     SolverConfig(gradient_threshold=rng.uniform(0.0, 0.5))))
+                     float(rng.choice([1.0, 1.5, 2.0, 3.0])), rng.uniform(0.0, 0.5)))
     stack = Stack([Binding(scheme, f, f, h, eps) for f, h, eps in spec])
     alone = [Stack([Binding(scheme, f, f, h, eps)]) for f, h, eps in spec]
     for _ in zip(range(6), march(stack, config)):

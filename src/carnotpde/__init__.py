@@ -44,7 +44,7 @@ from .operators import (
     infinity_laplacian,
     viscosity_inequality,
 )
-from .grid import GridFunction, GridSpec, classify_nodes
+from .grid import GridFunction, GridSpec
 from .solver import (
     Binding,
     CauchyDirichletProblem,

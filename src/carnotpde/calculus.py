@@ -5,8 +5,7 @@ Two independent computation routes are kept deliberately separate:
 * the twist route converts a Euclidean jet with the frame matrices and the
   first-order correction matrix (exact polynomial frame entries);
 * the direct route composes the left-invariant vector fields themselves,
-  symbolically for expression-backed fields (``ScalarField.derivative``, one
-  key per group content) and by nested flow differences for plain callables.
+  symbolically (``ScalarField.derivative``, one key per group content).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import sympy
 
 from . import groups
 from .expressions import coordinate_symbols
-from .fields import _H2
 
 
 @dataclass
@@ -184,8 +182,6 @@ def semi_horizontal_gradient(G, f, p, t=0.0):
 
 def symmetrized_hessian(G, f, p, t=0.0):
     """Symmetrized horizontal Hessian by direct vector-field composition."""
-    if f.expr is None:
-        return _numeric_hessian(G, f, p, t)
     n1 = G.horizontal_dim
     return f.derivative(("hhess",) + _group_key(G),
                         lambda expr, xs: _symbolic_hessian(G, expr, xs), (n1, n1))(p, t)
@@ -202,31 +198,6 @@ def _symbolic_hessian(G, expr, xs):
     firsts = [apply_field(i, expr) for i in range(n1)]
     return [[sympy.expand((apply_field(i, firsts[j]) + apply_field(j, firsts[i])) / 2)
              for j in range(n1)] for i in range(n1)]
-
-
-def _numeric_hessian(G, f, p, t):
-    """Nested central flow differences; fallback for plain callables."""
-    p = np.asarray(p, dtype=float)
-    n1 = G.horizontal_dim
-    h = _H2 * (1.0 + float(np.max(np.abs(p))))
-
-    def flow(point, i, s):
-        v = np.zeros(n1)
-        v[i] = s
-        return groups.multiply(G, point, groups.embed_horizontal(G, v))
-
-    def xf(point, j):
-        return (f(flow(point, j, h), t) - f(flow(point, j, -h), t)) / (2.0 * h)
-
-    out = np.empty(p.shape[:-1] + (n1, n1), dtype=float)
-    for i in range(n1):
-        for j in range(i, n1):
-            xij = (xf(flow(p, i, h), j) - xf(flow(p, i, -h), j)) / (2.0 * h)
-            xji = (xf(flow(p, j, h), i) - xf(flow(p, j, -h), i)) / (2.0 * h)
-            val = 0.5 * (xij + xji)
-            out[..., i, j] = val
-            out[..., j, i] = val
-    return out
 
 
 # -- jet twisting ----------------------------------------------------

@@ -32,7 +32,6 @@ from .solver import (
     solve_elliptic_steady,
     solve_parabolic,
     solve_to_steady,
-    _time_independent,
 )
 
 
@@ -210,7 +209,7 @@ def long_time_experiment(problem, config, n_pairs=8):
     h = problem.h
     if h <= 1.0:
         raise PreconditionError("the decay statement needs h > 1")
-    if not _time_independent(problem.g):
+    if problem.g.time_dependent:
         raise PreconditionError("long-time behavior needs a time-independent "
                                 "boundary datum")
     # March to the steady regime, capturing at geometrically spaced times

@@ -1,17 +1,15 @@
 """Scalar fields on a group: evaluable maps (point, time) -> real.
 
-A field is either analytic, defined by expression text, or backed by a plain
-callable (central finite differences).  Expression text is checked against
-the grammar and compiled to a numpy function when the field is defined; the
-field evaluates that function, the expression as written in float64, and
-builds its sympy expression only on the first read of ``expr``.  Every exact
-derivative (gradient, Hessian, time slope and the calculus module's
-horizontal Hessian) goes through ``ScalarField.derivative``, which
-lambdifies the derivative's sympy entries once per key, each float literal
-printed as the double it holds.  ``scale``, ``shift`` and ``+`` combine the
-operands' functions and expressions the same way.  Callables must be safe
-for concurrent, vectorized evaluation: they receive coordinate arrays of
-shape (..., N) and a scalar time.
+Every field is analytic, defined by expression text.  The text is checked
+against the grammar and compiled to a numpy function when the field is
+defined; the field evaluates that function, the expression as written in
+float64, and builds its sympy expression only on the first read of
+``expr``.  Every derivative (gradient, Hessian, time slope and the calculus
+module's horizontal Hessian) is exact and goes through
+``ScalarField.derivative``, which lambdifies the derivative's sympy entries
+once per key, each float literal printed as the double it holds.  ``scale``,
+``shift`` and ``+`` combine the operands' functions and expressions the same
+way.
 """
 
 from __future__ import annotations
@@ -25,29 +23,26 @@ from sympy.printing.numpy import NumPyPrinter
 from . import expressions
 from .expressions import coordinate_symbols
 
-_EPS = np.finfo(float).eps
-_H1 = _EPS ** (1.0 / 3.0)  # first-derivative step scale
-_H2 = _EPS ** 0.25         # second-derivative step scale
-
 
 class ScalarField:
-    """Deterministic scalar field u(p, t) on R^N x R.
+    """Deterministic analytic scalar field u(p, t) on R^N x R.
 
-    ``make_expr`` builds an analytic field's sympy expression (called once,
-    on the first read of ``expr``); ``time_dependent`` says whether that
-    expression names t, and is None for a callable field."""
+    ``fn`` evaluates the field on coordinates (..., N) at a scalar time;
+    ``make_expr`` builds its sympy expression (called once, on the first
+    read of ``expr``); ``time_dependent`` says whether that expression
+    names t."""
 
-    def __init__(self, fn, dim, make_expr=None, time_dependent=None):
+    def __init__(self, fn, dim, make_expr, time_dependent):
         self._fn = fn
         self.dim = int(dim)
-        self._make_expr = None if make_expr is None else functools.cache(make_expr)
+        self._make_expr = functools.cache(make_expr)
         self.time_dependent = time_dependent
         self._derivatives = {}
 
     @property
     def expr(self):
-        """The sympy expression of an analytic field; None for a callable."""
-        return None if self._make_expr is None else self._make_expr()
+        """The sympy expression of the field."""
+        return self._make_expr()
 
     # -- constructors -------------------------------------------------
 
@@ -62,10 +57,6 @@ class ScalarField:
         fn, names_time = expressions.compile_expression(text, dim)
         return cls(_wrap_compiled(fn, dim), dim,
                    lambda: expressions.parse_expression(text, dim), names_time)
-
-    @classmethod
-    def from_callable(cls, fn, dim):
-        return cls(fn, dim)
 
     # -- evaluation ---------------------------------------------------
 
@@ -94,70 +85,26 @@ class ScalarField:
 
     def euclidean_gradient(self, coords, t=0.0):
         """Spatial gradient, shape (..., N)."""
-        coords = np.asarray(coords, dtype=float)
-        if self.expr is not None:
-            return self.derivative(
-                "grad", lambda expr, xs: [sympy.diff(expr, x) for x in xs[:-1]],
-                (self.dim,))(coords, t)
-        out = np.empty(coords.shape, dtype=float)
-        for i in range(self.dim):
-            h = _H1 * (1.0 + np.abs(coords[..., i]))
-            hi = coords.copy()
-            lo = coords.copy()
-            hi[..., i] += h
-            lo[..., i] -= h
-            out[..., i] = (self(hi, t) - self(lo, t)) / (2.0 * h)
-        return out
+        return self.derivative(
+            "grad", lambda expr, xs: [sympy.diff(expr, x) for x in xs[:-1]],
+            (self.dim,))(coords, t)
 
     def euclidean_hessian(self, coords, t=0.0):
         """Spatial Hessian, shape (..., N, N), symmetric."""
-        coords = np.asarray(coords, dtype=float)
         n = self.dim
-        if self.expr is not None:
-            return self.derivative(
-                "hess", lambda expr, xs: [[sympy.diff(expr, a, b) for b in xs[:-1]]
-                                          for a in xs[:-1]], (n, n))(coords, t)
-        out = np.empty(coords.shape + (n,), dtype=float)
-        base = self(coords, t)
-        for i in range(n):
-            hi_ = _H2 * (1.0 + np.abs(coords[..., i]))
-            for j in range(i, n):
-                hj = _H2 * (1.0 + np.abs(coords[..., j]))
-                if i == j:
-                    up = coords.copy()
-                    dn = coords.copy()
-                    up[..., i] += hi_
-                    dn[..., i] -= hi_
-                    val = (self(up, t) - 2.0 * base + self(dn, t)) / hi_ ** 2
-                else:
-                    pp = coords.copy(); pm = coords.copy()
-                    mp = coords.copy(); mm = coords.copy()
-                    pp[..., i] += hi_; pp[..., j] += hj
-                    pm[..., i] += hi_; pm[..., j] -= hj
-                    mp[..., i] -= hi_; mp[..., j] += hj
-                    mm[..., i] -= hi_; mm[..., j] -= hj
-                    val = (self(pp, t) - self(pm, t) - self(mp, t) + self(mm, t)) / (
-                        4.0 * hi_ * hj)
-                out[..., i, j] = val
-                out[..., j, i] = val
-        return out
+        return self.derivative(
+            "hess", lambda expr, xs: [[sympy.diff(expr, a, b) for b in xs[:-1]]
+                                      for a in xs[:-1]], (n, n))(coords, t)
 
     def time_slope(self, coords, t=0.0):
-        coords = np.asarray(coords, dtype=float)
-        if self.expr is not None:
-            return self.derivative(
-                "dt", lambda expr, xs: sympy.diff(expr, xs[-1]), ())(coords, t)
-        h = _H1 * (1.0 + abs(float(t)))
-        return (self(coords, t + h) - self(coords, t - h)) / (2.0 * h)
+        return self.derivative(
+            "dt", lambda expr, xs: sympy.diff(expr, xs[-1]), ())(coords, t)
 
     # -- arithmetic helpers (used by experiments) ---------------------
 
     def _combine(self, fn, make_expr, other=None):
-        """The field evaluated by fn; analytic, with expression make_expr(),
-        when every operand is."""
+        """The field evaluated by fn, with expression make_expr()."""
         operands = (self,) if other is None else (self, other)
-        if any(f._make_expr is None for f in operands):
-            return ScalarField(fn, self.dim)
         return ScalarField(fn, self.dim, make_expr,
                            any(f.time_dependent for f in operands))
 

@@ -73,8 +73,13 @@ class GridSpec:
             out[..., i] = a.reshape((-1,) + (1,) * (self.ndim - 1 - i))
         return out.reshape(-1, self.ndim)
 
-    def lateral_mask(self):
-        """Flat boolean mask of nodes on the spatial boundary faces."""
+    def lateral_mask(self, nodes=None):
+        """Flat boolean mask of nodes on the spatial boundary faces: of every
+        node, or of the flat indices ``nodes``."""
+        if nodes is not None:
+            index = np.unravel_index(nodes, self.shape)
+            return np.any([(i == 0) | (i == n - 1) for i, n in zip(index, self.shape)],
+                          axis=0)
         interior = np.zeros(self.shape, dtype=bool)
         interior[(slice(1, -1),) * self.ndim] = True
         return ~interior.ravel()
@@ -100,16 +105,6 @@ class GridFunction:
 
     def sup_norm(self):
         return float(np.abs(self.values).max())
-
-
-def classify_nodes(grid, t):
-    """Per-node tags at time t: the initial slice is entirely parabolic
-    boundary, afterwards only the lateral faces are."""
-    if t <= 0.0:
-        boundary = np.ones(grid.node_count, dtype=bool)
-    else:
-        boundary = grid.lateral_mask()
-    return np.where(boundary, "parabolic_boundary", "interior")
 
 
 class StencilOperator:

@@ -42,6 +42,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from . import groups
 from .grid import GridFunction, GridSpec, build_stencil
@@ -127,25 +128,21 @@ def _norm(components):
     return np.sqrt(sq)
 
 
-def _time_independent(fieldlike):
-    """Whether the field's expression does not name t; False when unknown."""
-    return getattr(fieldlike, "time_dependent", None) is False
-
-
 _held = {}      # the most recent geometry: at most one key and its arrays
 
 
 def _geometry(G, grid, delta, samples, subset):
-    """The data-free arrays of a Scheme, frozen read-only."""
-    lateral = grid.lateral_mask()
-    coords = grid.coords()
+    """The data-free arrays of a Scheme, frozen read-only; a subset's matrix
+    columns are numbered over its node set."""
     if subset is None:
+        lateral = grid.lateral_mask()
+        coords = grid.coords()
         interior_flat = np.nonzero(~lateral)[0]
-    elif lateral[subset].any():
+        coords_interior = coords[interior_flat]
+    elif grid.lateral_mask(subset).any():
         raise ValueError("node subset must lie off the parabolic boundary")
     else:
-        interior_flat = subset
-    coords_interior = coords[interior_flat]
+        coords_interior = grid.coords(subset)
     n1 = G.horizontal_dim
     kappa = direction_set(n1, samples)
     axes = np.eye(n1).repeat(2, axis=0) * np.resize([1.0, -1.0], (2 * n1, 1))
@@ -157,6 +154,15 @@ def _geometry(G, grid, delta, samples, subset):
     operator = build_stencil(grid, (
         groups.multiply(G, coords_interior, groups.embed_horizontal(G, delta * d))
         for d in directions))
+    if subset is not None:
+        M = operator.matrix
+        nodes = np.union1d(subset, M.indices)
+        # searchsorted is increasing, so each row keeps its stored order
+        operator.matrix = scipy.sparse.csr_array(
+            (M.data, np.searchsorted(nodes, M.indices).astype(np.int32), M.indptr),
+            shape=(M.shape[0], len(nodes)))
+        lateral, coords = grid.lateral_mask(nodes), grid.coords(nodes)
+        interior_flat = np.searchsorted(nodes, subset)
     geometry = dict(delta=delta, lateral=lateral, coords=coords,
                     interior_flat=interior_flat, coords_interior=coords_interior,
                     coords_lateral=coords[lateral], directions=directions,
@@ -177,7 +183,9 @@ class Scheme:
     The geometry's arrays are built once per content key and shared,
     read-only, by every Scheme of equal content while its key is the most
     recent one; the horizon, h, the data and the step settings are not part
-    of the key."""
+    of the key.  With a ``node_subset`` of interior nodes, the node arrays
+    (``coords``, ``lateral``, a stack's columns) run over the subset and the
+    nodes its stencil rows read only, in ascending flat-index order."""
 
     def __init__(self, problem, config=None, node_subset=None):
         config = config or SolverConfig()
@@ -257,7 +265,7 @@ class Binding:
     def __init__(self, scheme, psi, g, h, eps_g=None):
         self.scheme, self.psi, self.g, self.h = scheme, psi, g, h
         self.eps_g = scheme.delta if eps_g is None else eps_g
-        self._static = _time_independent(g)
+        self._static = not g.time_dependent
         self._cache = {}
         self.data_min, self.data_max = np.inf, -np.inf
 

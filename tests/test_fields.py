@@ -253,9 +253,6 @@ def test_arithmetic_combines_the_compiled_functions():
     x1, x2, t = coordinate_symbols(2)
     assert sympy.simplify((u + w).expr - (x1 * x2 + 0.1 + x2 - t)) == 0
     assert sympy.simplify((2.5 * u).expr - 2.5 * (x1 * x2 + 0.1)) == 0
-    callable_field = ScalarField.from_callable(lambda c, t: c[..., 0], 2)
-    assert (u + callable_field).expr is None
-    assert (u + callable_field).time_dependent is None
 
 
 @pytest.mark.parametrize("text", ["abs(x1)", "abs(-x2) * x1", "x1", "+x2", "min(x1)",

@@ -1,4 +1,4 @@
-"""Grid geometry, node classification and flow-stencil interpolation."""
+"""Grid geometry and flow-stencil interpolation."""
 
 import hashlib
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnotpde.fields import ScalarField
-from carnotpde.grid import GridFunction, GridSpec, build_stencil, classify_nodes
+from carnotpde.grid import GridFunction, GridSpec, build_stencil
 from carnotpde.groups import engel_group, euclidean_group, heisenberg_group
 from carnotpde.solver import CauchyDirichletProblem, Scheme, SolverConfig
 
@@ -62,17 +62,8 @@ def test_lateral_mask_counts(square):
     mask = square.lateral_mask()
     # 5x9 grid: boundary of the rectangle has 2*5 + 2*9 - 4 nodes
     assert mask.sum() == 2 * 5 + 2 * 9 - 4
-
-
-def test_classify_nodes(square):
-    tags0 = classify_nodes(square, 0.0)
-    assert (tags0 == "parabolic_boundary").all()
-    tags = classify_nodes(square, 0.5)
-    assert (tags == "parabolic_boundary").sum() == square.lateral_mask().sum()
-    corner = 0
-    center = np.ravel_multi_index((2, 4), square.shape)
-    assert tags[corner] == "parabolic_boundary"
-    assert tags[center] == "interior"
+    nodes = np.arange(square.node_count)[::-2]
+    assert np.array_equal(square.lateral_mask(nodes), mask[nodes])
 
 
 def test_grid_function_validation(square):

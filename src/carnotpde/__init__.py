@@ -1,7 +1,8 @@
 """Numerics for the parabolic infinite Laplacian on step <= 3 Carnot groups.
 
 The package splits into group arithmetic (``groups``), horizontal calculus
-and jet twisting (``calculus``), the pointwise operator family
+and jet twisting (``calculus``), the pointwise h-homogeneous infinite
+Laplacian that the scheme's discrete operator is checked against
 (``operators``), a monotone semi-Lagrangian solver (``solver``, ``grid``),
 verification experiments (``experiments``) and a JSON-config CLI
 (``cli``).
@@ -35,15 +36,7 @@ from .calculus import (
     symmetrized_hessian,
     twist_jet,
 )
-from .operators import (
-    DegenerateGradientError,
-    InequalityResult,
-    OperatorParams,
-    evaluate_relaxed,
-    extreme_directional_second,
-    infinity_laplacian,
-    viscosity_inequality,
-)
+from .operators import DegenerateGradientError, infinity_laplacian
 from .grid import GridFunction, GridSpec
 from .solver import (
     Binding,

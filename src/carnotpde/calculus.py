@@ -25,7 +25,6 @@ class HorizontalFrame:
 
     A: np.ndarray
     B: np.ndarray
-    base_point: np.ndarray
 
 
 @dataclass
@@ -97,7 +96,7 @@ def frame_at(G, p):
         B = frame_rows(G, p, range(n1, n1 + n2))
     else:
         B = np.zeros(np.asarray(p, dtype=float).shape[:-1] + (0, G.total_dim))
-    return HorizontalFrame(A=A, B=B, base_point=np.asarray(p, dtype=float))
+    return HorizontalFrame(A=A, B=B)
 
 
 def frame_partials(G, p):

@@ -100,9 +100,6 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid function contains non-finite values")
 
-    def reshaped(self):
-        return self.values.reshape(self.grid.shape)
-
     def sup_norm(self):
         return float(np.abs(self.values).max())
 

@@ -1,111 +1,33 @@
-"""Pointwise h-homogeneous infinite-Laplace operator and the viscosity
-inequality classifier.
+"""The pointwise h-homogeneous infinite Laplacian, the oracle the scheme's
+discrete operator is measured against.
 
-Sign convention: everything is expressed through the Laplacian form, so the
-evolution law reads  u_t - (operator value) = 0  and residuals are
-``time slope - operator value`` in every case.
+Sign convention: the evolution law reads  u_t - (operator value) = 0.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 
 class DegenerateGradientError(ValueError):
-    """Gradient at or below threshold where the raw operator is singular.
-
-    Use ``evaluate_relaxed`` for 1 < h < 3 at such points.
-    """
+    """A zero gradient with h < 3, where the operator has no value."""
 
 
-@dataclass(frozen=True)
-class OperatorParams:
-    h: float
-    gradient_zero_threshold: float = 0.0
-
-    def __post_init__(self):
-        if self.h < 1:
-            raise ValueError("homogeneity exponent h must be >= 1")
-        if self.gradient_zero_threshold < 0:
-            raise ValueError("gradient threshold must be nonnegative")
-
-
-def _check_symmetric(X):
+def infinity_laplacian(h, grad, X):
+    """|grad|^(h-3) <X grad, grad> for h >= 1 and a symmetric X; h = 3 is the
+    plain infinite Laplacian, and a zero gradient gives 0 for h >= 3."""
+    if h < 1:
+        raise ValueError("homogeneity exponent h must be >= 1")
+    grad = np.asarray(grad, dtype=float)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1] or not np.allclose(X, X.T, atol=0.0):
         raise ValueError("Hessian argument must be a symmetric square matrix")
-    return X
-
-
-def infinity_laplacian(params, grad, X):
-    """|grad|^(h-3) <X grad, grad>; h = 3 is the plain infinite Laplacian."""
-    grad = np.asarray(grad, dtype=float)
-    X = _check_symmetric(X)
-    h = params.h
     norm = float(np.linalg.norm(grad))
-    if norm <= params.gradient_zero_threshold:
+    if norm == 0.0:
         if h < 3:
-            raise DegenerateGradientError(
-                "gradient below threshold with h < 3; evaluate_relaxed applies")
+            raise DegenerateGradientError("zero gradient with h < 3")
         return 0.0
     quad = float(grad @ X @ grad)
     if h == 3:
         return quad
     return norm ** (h - 3.0) * quad
-
-
-def evaluate_relaxed(params, grad, X):
-    """Continuous extension for 1 < h < 3: zero branch at degenerate gradient."""
-    if not 1.0 < params.h < 3.0:
-        raise ValueError("relaxed operator is defined for 1 < h < 3 only")
-    grad = np.asarray(grad, dtype=float)
-    if float(np.linalg.norm(grad)) <= params.gradient_zero_threshold:
-        _check_symmetric(X)
-        return 0.0
-    return infinity_laplacian(params, grad, X)
-
-
-def extreme_directional_second(X):
-    """(min, max) of <X eta, eta> over unit vectors: the eigenvalue extremes."""
-    X = _check_symmetric(X)
-    w = np.linalg.eigvalsh(X)
-    return float(w[0]), float(w[-1])
-
-
-@dataclass(frozen=True)
-class InequalityResult:
-    satisfied: bool
-    residual: float
-    case: str
-
-
-def viscosity_inequality(params, role, jet, grad_is_zero=None):
-    """Classify a jet against the sub/supersolution case table.
-
-    ``role`` is 'sub' or 'super'.  Equality counts as satisfied.  The
-    gradient used is the layer-1 part of the jet.
-    """
-    if role not in ("sub", "super"):
-        raise ValueError("role must be 'sub' or 'super'")
-    h = params.h
-    grad = jet.horizontal_gradient
-    if grad_is_zero is None:
-        grad_is_zero = float(np.linalg.norm(grad)) <= params.gradient_zero_threshold
-    if not grad_is_zero:
-        residual = jet.a - infinity_laplacian(
-            OperatorParams(h=h), grad, jet.X)
-        case = "nondegenerate"
-    elif h == 1.0:
-        lo, hi = extreme_directional_second(jet.X)
-        residual = jet.a - (hi if role == "sub" else lo)
-        case = "degenerate-h1"
-    elif h < 3.0:
-        residual = jet.a
-        case = "degenerate-relaxed"
-    else:
-        residual = jet.a - 0.0
-        case = "degenerate-continuous"
-    satisfied = residual <= 0.0 if role == "sub" else residual >= 0.0
-    return InequalityResult(satisfied=satisfied, residual=float(residual), case=case)

@@ -9,9 +9,13 @@ The update at an interior node p is
 where W are the values at the group-flow targets p * exp(delta eta) over a
 fixed antipodal direction set and s is the gradient-dependent speed
 |grad|^(h-1) (relaxed to 0 below the gradient threshold for h > 1, and to 1
-for h = 1).  With the CFL step bound the update is a convex combination of
-stencil values, which gives the discrete comparison principle and the
-discrete maximum principle exactly.
+for h = 1).  With the CFL step bound each field's update is a convex
+combination of its stencil values, which gives the discrete maximum
+principle exactly for every h.  The discrete comparison principle holds
+exactly for h = 1 only: for h != 1 the speed comes from central differences
+of the neighbor values, so where the curvature is negative raising a
+neighbor can lower the update, and an ordered pair can cross (ROADMAP
+item 1, a monotone update for every h).
 
 A ``Scheme`` is the data-free geometry of one (group, grid, delta, direction
 set): its stencil operator (``grid.StencilOperator``), whose first D rows are
@@ -59,14 +63,18 @@ class SolverConfig:
     cfl_factor: float = 0.5
     direction_samples: int = 16
     steady_tolerance: float = 1e-8            # elliptic solve: certified sup error
-    dt: float = None                          # fixed step override
+    dt: float = None                          # fixed step, at most the CFL step
     stencil_radius: float = None              # default: the grid spacing delta
 
     def __post_init__(self):
         if not 0.0 < self.cfl_factor <= 1.0:
             raise ValueError("cfl_factor must lie in (0, 1]")
-        if self.direction_samples < 4:
-            raise ValueError("need at least 4 direction samples")
+        if not 4 <= self.direction_samples < np.inf:
+            raise ValueError("direction_samples must be a finite count of at least 4")
+        for name in ("steady_tolerance", "dt", "stencil_radius"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -237,11 +245,18 @@ class Scheme:
     def step(self, stack, config, t_stop=np.inf):
         """One explicit Euler step of a stack on this geometry, in place.  dt
         is the smallest CFL step of the stack (config.dt when set), trimmed
-        to land on t_stop."""
+        to land on t_stop.  A config.dt above that CFL step raises SolverError
+        before the update."""
         U = stack.U
         op, stack.cfl = self.discrete_operator(U, stack.t, stack.fields,
                                                config.cfl_factor)
-        dt = config.dt if config.dt is not None else min(stack.cfl)
+        dt = min(stack.cfl)
+        if config.dt is not None:
+            if config.dt > dt:
+                raise SolverError(
+                    f"fixed dt={config.dt:.6g} exceeds the CFL step {dt:.6g} "
+                    f"at t={stack.t:.6g}")
+            dt = config.dt
         stack.dt = min(dt, t_stop - stack.t)
         U[:, self.interior_flat] += stack.dt * op.T
         stack.t += stack.dt

@@ -29,7 +29,7 @@ from carnotpde.groups import (
     inverse,
     multiply,
 )
-from carnotpde.operators import OperatorParams, infinity_laplacian
+from carnotpde.operators import infinity_laplacian
 from carnotpde.solver import (
     Binding,
     CauchyDirichletProblem,
@@ -310,7 +310,7 @@ def test_criterion_12_consistency_order():
             op, _ = scheme.discrete_operator(values[None], 0.0,
                                              [Binding(scheme, f, f, h)])
             exact = np.array([
-                infinity_laplacian(OperatorParams(h=h), jet.horizontal_gradient, jet.X)
+                infinity_laplacian(h, jet.horizontal_gradient, jet.X)
                 for jet in jets])
             errs.append(float(np.abs(op[:, 0] - exact).max()))
     orders = {h: float(np.polyfit(np.log(deltas), np.log(errs), 1)[0])

@@ -300,6 +300,13 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.json")]) == 1
 
 
+def test_solver_setting_that_cannot_take_effect_exits_one(tmp_path, capsys):
+    config = write_config(tmp_path, steady_tolerance=0)
+    assert main(["solve", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        "error: steady_tolerance must be positive and finite, got 0.0\n")
+
+
 def test_violated_precondition_exits_one(tmp_path, capsys):
     # homogeneity scaling requires h > 1
     config = write_config(tmp_path, h=1, experiments=["homogeneity"])

@@ -1,62 +1,44 @@
-"""Pointwise operator family and the viscosity inequality case table."""
+"""The pointwise h-homogeneous infinite Laplacian."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnotpde.calculus import Jet
-from carnotpde.operators import (
-    DegenerateGradientError,
-    OperatorParams,
-    evaluate_relaxed,
-    extreme_directional_second,
-    infinity_laplacian,
-    viscosity_inequality,
-)
-
-
-def jet(a, eta, X):
-    return Jet(a=a, eta=np.asarray(eta, dtype=float), X=np.asarray(X, dtype=float))
-
-
-# -- infinity_laplacian ----------------------------------------------
+from carnotpde.operators import DegenerateGradientError, infinity_laplacian
 
 
 def test_spot_values():
     I = np.eye(2)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert infinity_laplacian(OperatorParams(h=3), [1, 0], I) == pytest.approx(1.0)
-    assert infinity_laplacian(OperatorParams(h=3), [-2, 1], swap) == pytest.approx(-4.0)
-    assert infinity_laplacian(
-        OperatorParams(h=1), [3, 4], np.diag([1.0, 2.0])) == pytest.approx(1.64)
-    assert infinity_laplacian(
-        OperatorParams(h=4), [-2, 1], swap) == pytest.approx(-np.sqrt(5) * 4, rel=1e-12)
+    assert infinity_laplacian(3, [1, 0], I) == pytest.approx(1.0)
+    assert infinity_laplacian(3, [-2, 1], swap) == pytest.approx(-4.0)
+    assert infinity_laplacian(1, [3, 4], np.diag([1.0, 2.0])) == pytest.approx(1.64)
+    assert infinity_laplacian(4, [-2, 1], swap) == pytest.approx(-np.sqrt(5) * 4, rel=1e-12)
 
 
 def test_h3_zero_gradient_is_continuous_zero():
-    assert infinity_laplacian(OperatorParams(h=3), [0, 0], np.eye(2)) == 0.0
-    assert infinity_laplacian(OperatorParams(h=5), [0, 0], np.eye(2)) == 0.0
+    assert infinity_laplacian(3, [0, 0], np.eye(2)) == 0.0
+    assert infinity_laplacian(5, [0, 0], np.eye(2)) == 0.0
 
 
 def test_degenerate_gradient_raises_below_three():
     with pytest.raises(DegenerateGradientError):
-        infinity_laplacian(OperatorParams(h=2), [0, 0], np.eye(2))
+        infinity_laplacian(2, [0, 0], np.eye(2))
     with pytest.raises(DegenerateGradientError):
-        infinity_laplacian(
-            OperatorParams(h=1, gradient_zero_threshold=1e-6), [1e-8, 0], np.eye(2))
+        infinity_laplacian(1, [0, 0], np.eye(2))
+    # only an exactly zero gradient is degenerate
+    assert infinity_laplacian(1, [1e-8, 0], np.eye(2)) == pytest.approx(1.0)
 
 
 def test_asymmetric_hessian_rejected():
     with pytest.raises(ValueError):
-        infinity_laplacian(OperatorParams(h=3), [1, 0], [[0, 1], [0, 0]])
+        infinity_laplacian(3, [1, 0], [[0, 1], [0, 0]])
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        OperatorParams(h=0.5)
-    with pytest.raises(ValueError):
-        OperatorParams(h=2, gradient_zero_threshold=-1.0)
+    with pytest.raises(ValueError, match="h must be >= 1"):
+        infinity_laplacian(0.5, [1, 0], np.eye(2))
 
 
 @given(st.floats(0.1, 10.0), st.floats(1.0, 5.0))
@@ -65,8 +47,8 @@ def test_jet_scaling_multiplies_value_by_lambda_to_the_h(lam, h):
     # jet of lam*f: gradient and Hessian both scale by lam
     grad = np.array([0.8, -0.6])
     X = np.array([[1.0, 0.4], [0.4, -2.0]])
-    base = infinity_laplacian(OperatorParams(h=h), grad, X)
-    scaled = infinity_laplacian(OperatorParams(h=h), lam * grad, lam * X)
+    base = infinity_laplacian(h, grad, X)
+    scaled = infinity_laplacian(h, lam * grad, lam * X)
     assert scaled == pytest.approx(lam ** h * base, rel=1e-12)
 
 
@@ -78,95 +60,6 @@ def test_division_free_consistency_h1_vs_h3():
             continue
         X = rng.uniform(-1, 1, (2, 2))
         X = X + X.T
-        v1 = infinity_laplacian(OperatorParams(h=1), grad, X)
-        v3 = infinity_laplacian(OperatorParams(h=3), grad, X)
+        v1 = infinity_laplacian(1, grad, X)
+        v3 = infinity_laplacian(3, grad, X)
         assert v1 == pytest.approx(v3 / np.linalg.norm(grad) ** 2, rel=1e-12)
-
-
-# -- relaxed operator ------------------------------------------------
-
-
-def test_relaxed_zero_branch_and_agreement():
-    params = OperatorParams(h=2)
-    assert evaluate_relaxed(params, [0, 0], np.eye(2)) == 0.0
-    assert evaluate_relaxed(params, [1, 0], np.eye(2)) == pytest.approx(1.0)
-    thr = OperatorParams(h=2, gradient_zero_threshold=1e-12)
-    assert evaluate_relaxed(thr, [1e-30, 0], np.eye(2)) == 0.0
-
-
-def test_relaxed_domain_restriction():
-    for h in (1.0, 3.0, 4.0):
-        with pytest.raises(ValueError):
-            evaluate_relaxed(OperatorParams(h=h), [1, 0], np.eye(2))
-
-
-# -- eigenvalue extremes ---------------------------------------------
-
-
-def test_extreme_directional_second_values():
-    assert extreme_directional_second(np.diag([1.0, 2.0])) == (1.0, 2.0)
-    lo, hi = extreme_directional_second([[0.0, 1.0], [1.0, 0.0]])
-    assert (lo, hi) == pytest.approx((-1.0, 1.0))
-    assert extreme_directional_second(np.zeros((3, 3))) == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        extreme_directional_second([[0, 1], [0, 0]])
-
-
-def test_extremes_are_attained_by_unit_vectors():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        X = rng.uniform(-1, 1, (3, 3))
-        X = X + X.T
-        lo, hi = extreme_directional_second(X)
-        w, V = np.linalg.eigh(X)
-        for value, vec in ((lo, V[:, 0]), (hi, V[:, -1])):
-            assert vec @ X @ vec == pytest.approx(value, abs=1e-12)
-
-
-# -- viscosity inequality case table ---------------------------------
-
-
-def test_nondegenerate_case():
-    params = OperatorParams(h=3)
-    j = jet(1.0, [1.0, 0.0, 0.0], np.eye(2))
-    res = viscosity_inequality(params, "sub", j)
-    assert res.case == "nondegenerate"
-    assert res.residual == pytest.approx(0.0)
-    assert res.satisfied  # equality counts as satisfied
-
-
-def test_degenerate_h1_uses_eigen_extremes():
-    params = OperatorParams(h=1)
-    j = jet(0.5, [0.0, 0.0, 0.0], [[0.0, 1.0], [1.0, 0.0]])
-    sub = viscosity_inequality(params, "sub", j, grad_is_zero=True)
-    assert sub.case == "degenerate-h1"
-    assert sub.residual == pytest.approx(-0.5)  # 0.5 - max eigen
-    assert sub.satisfied
-    sup = viscosity_inequality(params, "super", j, grad_is_zero=True)
-    assert sup.residual == pytest.approx(1.5)   # 0.5 - min eigen
-    assert sup.satisfied
-
-
-def test_degenerate_relaxed_case():
-    params = OperatorParams(h=2)
-    j = jet(-0.5, [0.0, 0.0, 0.0], np.eye(2))
-    res = viscosity_inequality(params, "sub", j, grad_is_zero=True)
-    assert res.case == "degenerate-relaxed"
-    assert res.residual == pytest.approx(-0.5)
-    assert res.satisfied
-    assert not viscosity_inequality(params, "super", j, grad_is_zero=True).satisfied
-
-
-def test_degenerate_continuous_case_h_at_least_three():
-    params = OperatorParams(h=3)
-    j = jet(0.2, [0.0, 0.0, 0.0], np.eye(2))
-    res = viscosity_inequality(params, "super", j, grad_is_zero=True)
-    assert res.case == "degenerate-continuous"
-    assert res.residual == pytest.approx(0.2)
-    assert res.satisfied
-
-
-def test_role_validation():
-    with pytest.raises(ValueError):
-        viscosity_inequality(OperatorParams(h=2), "both",
-                             jet(0.0, [1.0, 0.0, 0.0], np.eye(2)))

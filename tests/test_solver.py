@@ -77,6 +77,20 @@ def test_solver_config_validation():
         SolverConfig(direction_samples=2)
 
 
+@pytest.mark.parametrize("setting", [
+    {"dt": 0.0}, {"dt": -0.005}, {"dt": np.inf}, {"dt": np.nan},
+    {"steady_tolerance": 0.0}, {"steady_tolerance": -1e-8},
+    {"steady_tolerance": np.inf}, {"steady_tolerance": np.nan},
+    {"stencil_radius": 0.0}, {"stencil_radius": -0.1},
+    {"stencil_radius": np.inf}, {"stencil_radius": np.nan},
+    {"direction_samples": np.inf},
+])
+def test_settings_that_cannot_take_effect_are_rejected(setting):
+    (name, _), = setting.items()
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(**setting)
+
+
 def test_problem_validation():
     G = euclidean_group(2)
     with pytest.raises(ValueError, match="h"):
@@ -422,9 +436,27 @@ def test_constant_data_is_global_fixed_point():
 def test_step_aborts_on_cfl_violation():
     prob = make_problem(euclidean_group(1), ((0, 1),), (16,), 1.0,
                         "x1*(1-x1)", horizon=20.0)
+    with pytest.raises(SolverError, match="exceeds the CFL step"):
+        solve_parabolic(prob, SolverConfig(dt=0.05))
+
+
+def test_step_aborts_on_a_non_finite_value():
+    # the lateral datum overflows to inf just past t = 0.4
+    prob = make_problem(euclidean_group(1), ((0, 1),), (16,), 1.0,
+                        "x1*(1-x1) + 10**(770*t)", horizon=0.5)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SolverError, match="node"):
-            solve_parabolic(prob, SolverConfig(dt=0.05))
+        with pytest.raises(SolverError, match="non-finite value at node"):
+            solve_parabolic(prob, SolverConfig())
+
+
+def test_fixed_dt_above_the_cfl_step_raises():
+    # 1.2x the step bound delta^2 / 2: unchecked, this march reaches the
+    # horizon with values of +-1.6e8 from data in [0.15, 0.27]
+    prob = make_problem(euclidean_group(1), ((0, 1),), (16,), 1.0,
+                        "x1*(1-x1) + 0.3*abs(x1 - 0.5)", horizon=0.2)
+    config = SolverConfig(cfl_factor=1.0, dt=1.2 * prob.grid.delta ** 2 / 2.0)
+    with pytest.raises(SolverError, match="exceeds the CFL step"):
+        solve_parabolic(prob, config)
 
 
 @given(st.integers(0, 10_000))

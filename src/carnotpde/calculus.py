@@ -49,16 +49,13 @@ class Jet:
 
 @dataclass(frozen=True)
 class PenaltySpec:
-    """Pair-doubling penalty parameters: even exponent m >= 4, weight tau."""
+    """Pair-doubling penalty parameters: even exponent m >= 4."""
 
     m: int = 4
-    tau: float = 1.0
 
     def __post_init__(self):
         if self.m < 4 or self.m % 2 != 0:
             raise ValueError("penalty exponent m must be an even integer >= 4")
-        if self.tau <= 0:
-            raise ValueError("penalty weight tau must be positive")
 
 
 # -- frames ----------------------------------------------------------

@@ -5,7 +5,8 @@ The stencil operator records, for every interior node and every flow
 direction, where that group-flow move lands and how to read the value there
 back by multilinear interpolation (convex weights only), all as one sparse
 matrix.  Targets that leave the box are clamped coordinate-wise to the
-boundary and evaluated from the lateral datum instead.
+box and read the same way, from the boundary nodes around the clamped point,
+so every row reads grid nodes only.
 """
 
 from __future__ import annotations
@@ -107,30 +108,18 @@ class GridFunction:
 class StencilOperator:
     """Every flow stencil over one node set, held as one CSR matrix.
 
-    Row d*K + k reads direction d's target from interior node k: the convex
-    multilinear weights of the corners of its cell, exact zeros dropped,
-    int32 indices.  A row whose target leaves the box stores nothing; its
-    value is the lateral datum at the target clamped to the box, taken from
-    a datum vector with one entry per such row (``outside``, ascending).
+    Row d*K + k reads direction d's target from interior node k, clamped
+    coordinate-wise to the box: the convex multilinear weights of the
+    corners of its cell, exact zeros dropped, int32 indices.
     """
 
-    def __init__(self, matrix, n_directions, outside, clamped):
+    def __init__(self, matrix, n_directions):
         self.matrix = matrix
         self.n_directions = n_directions
-        self.outside = outside
-        self.clamped = clamped
 
-    def datum(self, g, t=0.0):
-        """The datum vector: g at every clamped off-box target."""
-        if not self.outside.size:
-            return np.empty(0)
-        return np.broadcast_to(np.asarray(g(self.clamped, t), dtype=float),
-                               self.outside.shape)
-
-    def apply(self, values, datum=None):
+    def apply(self, values):
         """Values at every flow target: shape (D, K) for one field's node
-        values and datum vector, (D, K, B) for a (B, nodes) stack and a
-        sequence of B datum vectors."""
+        values, (D, K, B) for a (B, nodes) stack."""
         if values.ndim == 2 and len(values) > 1:
             # one matvec per field: bit-identical to one csr_matvecs over
             # the stack, and faster than it for B >= 2.  B = 1 keeps the
@@ -143,10 +132,6 @@ class StencilOperator:
                 out[:, b] = self.matrix @ row
         else:
             out = self.matrix @ values.T
-        if self.outside.size:
-            if datum is None:
-                raise ValueError("stencil leaves the box but no datum was given")
-            out[self.outside] = np.transpose(datum)
         return out.reshape(self.n_directions, -1, *out.shape[1:])
 
 
@@ -161,15 +146,12 @@ def build_stencil(grid, target_list):
     bits = (np.arange(2 ** N)[:, None] >> np.arange(N - 1, -1, -1)) & 1
     offsets = (bits @ strides).astype(np.int32)[:, None]    # corner c, axis 0 its top bit
 
-    data, indices, counts, outside, clamped = [], [], [], [], []
-    rows = 0
+    data, indices, counts = [], [], []
     for targets in target_list:
         x = np.ascontiguousarray(np.asarray(targets, dtype=float).T)   # (N, K)
         K = x.shape[1]
-        inside, base, weights = np.ones(K, bool), np.zeros(K, np.int64), np.ones((1, K))
+        base, weights = np.zeros(K, np.int64), np.ones((1, K))
         for axis in range(N):
-            tol = 1e-10 * (hi[axis] - lo[axis])
-            inside &= (x[axis] >= lo[axis] - tol) & (x[axis] <= hi[axis] + tol)
             pos = (np.clip(x[axis], lo[axis], hi[axis]) - lo[axis]) / spacings[axis]
             cell = np.clip(np.floor(pos).astype(np.int64), 0, grid.cells[axis] - 1)
             frac = np.minimum(pos - cell, 1.0)  # pos can round past the upper face
@@ -180,18 +162,14 @@ def build_stencil(grid, target_list):
             np.multiply(weights, 1.0 - frac, out=grown[0::2])
             np.multiply(weights, frac, out=grown[1::2])
             weights = grown
-        keep = (weights != 0.0) & inside
+        keep = weights != 0.0
         data.append(weights.T[keep.T])
         indices.append((base.astype(np.int32) + offsets).T[keep.T])
         counts.append(np.count_nonzero(keep, axis=0))
-        outside.append(rows + np.nonzero(~inside)[0])
-        clamped.append(np.clip(x[:, ~inside].T, lo, hi))
-        rows += K
 
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     indptr = indptr.astype(np.int32 if indptr[-1] < 2 ** 31 else np.int64)
     matrix = scipy.sparse.csr_array(
         (np.concatenate(data), np.concatenate(indices), indptr),
-        shape=(rows, grid.node_count))
-    return StencilOperator(matrix, len(counts), np.concatenate(outside),
-                           np.concatenate(clamped))
+        shape=(len(indptr) - 1, grid.node_count))
+    return StencilOperator(matrix, len(counts))

@@ -164,17 +164,15 @@ def _check_point(G, p):
 
 
 def bracket(G, p, q):
-    """Lie bracket of coordinate vectors via the structure constants."""
+    """Lie bracket of coordinate vectors via the structure constants,
+    coordinate-major, so each term is a row operation."""
     p, q = _check_point(G, p), _check_point(G, q)
     shape = np.broadcast(p, q).shape
-    if len(shape) == 1:     # one point: Python floats, rounded as numpy rounds
-        pT, qT, out = p.tolist(), q.tolist(), [0.0] * shape[0]
-    else:                   # coordinate-major, so each term is a row operation
-        pT, qT = (a.reshape((1,) * (len(shape) - a.ndim) + a.shape).T for a in (p, q))
-        out = np.zeros(shape[::-1])
+    pT, qT = (a.reshape((1,) * (len(shape) - a.ndim) + a.shape).T for a in (p, q))
+    out = np.zeros(shape[::-1])
     for k, i, j, c in G.bracket_terms:
         out[k] += pT[i] * qT[j] * c
-    return np.asarray(out).T
+    return out.T
 
 
 def multiply(G, p, q):

@@ -18,16 +18,17 @@ neighbor can lower the update, and an ordered pair can cross (ROADMAP
 item 1, a monotone update for every h).
 
 A ``Scheme`` is the data-free geometry of one (group, grid, delta, direction
-set): its stencil operator (``grid.StencilOperator``), whose first D rows are
-the direction set and whose last 2 n1 rows the +-e_i of the central-difference
-gradient.  Its arrays depend on a content key only (the group's layers and
-structure constants, box, cells, delta, direction count and node subset).
-The module holds the most recent geometry, read-only, so successive Schemes
-of equal content share one build: problems that differ only in horizon, h or
-data (the pairs of a comparison block, the h of an h-limit sweep, the
-experiments of one ``verify``).  A new key drops the held geometry before
-its own build, so the module never holds two.  A ``Binding`` is one field's
-data on it (psi, g, h, eps_g) and the envelope of every data value read.
+set): its stencil operator (``grid.StencilOperator``), whose rows read grid
+nodes only; its first D rows are the direction set and its last 2 n1 the
++-e_i of the central-difference gradient.  Its arrays depend on a content key
+only (the group's layers and structure constants, box, cells, delta,
+direction count and node subset), which a solve checks a given ``scheme``
+against.  The module holds the most recent geometry, read-only, so successive
+Schemes of equal content share one build: problems that differ only in
+horizon, h or data (the pairs of a comparison block, the h of an h-limit
+sweep, the experiments of one ``verify``).  A new key drops the held geometry
+before its own build, so the module never holds two.  A ``Binding`` is one
+field's data on it (psi, g, h, eps_g) and the envelope of every data value read.
 ``march`` advances a (B, nodes) ``Stack`` of bound fields with one operator
 apply per step, whose gradient rows give both the speed and the CFL
 step; every solve and experiment runs on it.
@@ -139,6 +140,18 @@ def _norm(components):
 _held = {}      # the most recent geometry: at most one key and its arrays
 
 
+def _content_key(problem, config, subset):
+    """What a Scheme's geometry depends on: the group's layers and structure
+    constants, box, cells, stencil radius, direction count and node subset."""
+    G, grid = problem.group, problem.grid
+    delta = float(config.stencil_radius if config.stencil_radius is not None
+                  else grid.delta)
+    # box by its bytes, so that -0.0 and 0.0 stay apart as in the coordinates
+    return (G.layer_dims, G.structure.tobytes(), np.array(grid.box).tobytes(),
+            grid.cells, delta, config.direction_samples,
+            None if subset is None else subset.tobytes())
+
+
 def _geometry(G, grid, delta, samples, subset):
     """The data-free arrays of a Scheme, frozen read-only; a subset's matrix
     columns are numbered over its node set."""
@@ -177,8 +190,7 @@ def _geometry(G, grid, delta, samples, subset):
                     n_kappa=len(kappa), _grad_start=len(kappa) - int(is_axis.sum()),
                     operator=operator)
     M = operator.matrix
-    for a in (*geometry.values(), M.data, M.indices, M.indptr,
-              operator.outside, operator.clamped):
+    for a in (*geometry.values(), M.data, M.indices, M.indptr):
         if isinstance(a, np.ndarray):
             a.setflags(write=False)
     return geometry
@@ -197,20 +209,26 @@ class Scheme:
 
     def __init__(self, problem, config=None, node_subset=None):
         config = config or SolverConfig()
-        G, grid = problem.group, problem.grid
-        delta = float(config.stencil_radius if config.stencil_radius is not None
-                      else grid.delta)
         subset = None if node_subset is None else np.array(node_subset, dtype=np.int64)
-        # box by its bytes, so that -0.0 and 0.0 stay apart as in the coordinates
-        key = (G.layer_dims, G.structure.tobytes(), np.array(grid.box).tobytes(),
-               grid.cells, delta, config.direction_samples,
-               None if subset is None else subset.tobytes())
-        geometry = _held.get(key)
+        self.key = _content_key(problem, config, subset)
+        geometry = _held.get(self.key)
         if geometry is None:
             _held.clear()       # before the build, so two are never held at once
-            geometry = _geometry(G, grid, delta, config.direction_samples, subset)
-            _held[key] = geometry
+            geometry = _geometry(problem.group, problem.grid, self.key[4],  # radius
+                                 config.direction_samples, subset)
+            _held[self.key] = geometry
         self.__dict__.update(geometry)
+
+    @classmethod
+    def of(cls, problem, config, scheme):
+        """``scheme`` when given, checked against the content key of
+        (problem, config); else the Scheme of (problem, config)."""
+        if scheme is None:
+            return cls(problem, config)
+        if scheme.key != _content_key(problem, config, None):
+            raise ValueError("the scheme was built for another group, box, cells, "
+                             "stencil radius, direction count or node subset")
+        return scheme
 
     def gradient(self, W):
         """Central differences along the layer-1 axes from the +-e_i rows of
@@ -226,11 +244,11 @@ class Scheme:
         u = U[:, self.interior_flat].T
         return (W.max(axis=0) + W.min(axis=0) - 2.0 * u) / self.delta ** 2
 
-    def discrete_operator(self, U, t, fields, cfl_factor=1.0):
+    def discrete_operator(self, U, fields, cfl_factor=1.0):
         """Speed times median curvature, shape (K, B), and the step each
         field's speed allows, cfl_factor delta^2 / (2 max(1, |grad|^(h-1))),
         one per field, from one apply."""
-        W = self.operator.apply(U, [f.datum(t) for f in fields])
+        W = self.operator.apply(U)
         op = self.kappa(U, W)
         cap = [1.0] * len(fields)
         if any(f.h != 1.0 for f in fields):
@@ -248,8 +266,7 @@ class Scheme:
         to land on t_stop.  A config.dt above that CFL step raises SolverError
         before the update."""
         U = stack.U
-        op, stack.cfl = self.discrete_operator(U, stack.t, stack.fields,
-                                               config.cfl_factor)
+        op, stack.cfl = self.discrete_operator(U, stack.fields, config.cfl_factor)
         dt = min(stack.cfl)
         if config.dt is not None:
             if config.dt > dt:
@@ -273,15 +290,14 @@ class Scheme:
 class Binding:
     """One field's data on a Scheme's geometry: initial datum psi, lateral
     datum g, exponent h and gradient threshold eps_g (delta by default).
-    g's lateral values and datum vector are evaluated once when g does not
-    depend on t and once per time level otherwise; data_min and data_max
-    bound every data value read so far."""
+    g's lateral values are evaluated once when g does not depend on t and
+    once per time level otherwise; data_min and data_max bound every data
+    value read so far."""
 
     def __init__(self, scheme, psi, g, h, eps_g=None):
         self.scheme, self.psi, self.g, self.h = scheme, psi, g, h
         self.eps_g = scheme.delta if eps_g is None else eps_g
-        self._static = not g.time_dependent
-        self._cache = {}
+        self._lateral = None                  # (t, g at the lateral nodes)
         self.data_min, self.data_max = np.inf, -np.inf
 
     def record(self, values):
@@ -291,20 +307,12 @@ class Binding:
             self.data_max = max(self.data_max, float(values.max()))
         return values
 
-    def _at(self, key, t, evaluate):
-        cached = self._cache.get(key)
-        if cached is None or (not self._static and t != cached[0]):
-            values = np.asarray(evaluate(), dtype=float)
-            cached = self._cache[key] = (t, self.record(values))
-        return cached[1]
-
     def lateral(self, t):
         """g at the lateral nodes at time t."""
-        return self._at("lateral", t, lambda: self.g(self.scheme.coords_lateral, t))
-
-    def datum(self, t):
-        """The operator's datum vector, g at the clamped off-box targets."""
-        return self._at("datum", t, lambda: self.scheme.operator.datum(self.g, t))
+        if self._lateral is None or (self.g.time_dependent and t != self._lateral[0]):
+            values = np.asarray(self.g(self.scheme.coords_lateral, t), dtype=float)
+            self._lateral = (t, self.record(values))
+        return self._lateral[1]
 
     def initial(self):
         """psi at every node, g at the lateral ones, at t = 0."""
@@ -338,8 +346,7 @@ class Stack:
 
     def cfl_dt(self, config):
         """Each field's CFL step at the stack's current values."""
-        return self.scheme.discrete_operator(self.U, self.t, self.fields,
-                                             config.cfl_factor)[1]
+        return self.scheme.discrete_operator(self.U, self.fields, config.cfl_factor)[1]
 
 
 def march(stack, config, stops=None):
@@ -395,7 +402,7 @@ def solve_parabolic(problem, config=None, snapshot_times=None, scheme=None):
     trimmed to land on them exactly and on the horizon.
     """
     config = config or SolverConfig()
-    scheme = scheme or Scheme(problem, config)
+    scheme = Scheme.of(problem, config, scheme)
     grid = problem.grid
     times = sorted(snapshot_times) if snapshot_times else [grid.horizon]
     if times[0] < 0.0:
@@ -424,7 +431,7 @@ def solve_to_steady(problem, config=None, scheme=None):
     distance to the steady state.  ``solve_elliptic_steady`` is the route to
     the fixed point with a certified error."""
     config = config or SolverConfig()
-    scheme = scheme or Scheme(problem, config)
+    scheme = Scheme.of(problem, config, scheme)
     stack = Stack.of(scheme, problem)
     ref, t_ref = stack.U.copy(), stack.t
     for _ in march(stack, config):
@@ -455,14 +462,14 @@ def solve_elliptic_steady(problem, config=None, scheme=None):
     by sweeps of T from the constant data minimum and maximum.
     """
     config = config or SolverConfig()
-    scheme = scheme or Scheme(problem, config)
+    scheme = Scheme.of(problem, config, scheme)
     field = Binding(scheme, problem.g, problem.g, problem.h)
-    u, datum = field.initial(), field.datum(0.0)
+    u = field.initial()
     I = scheme.interior_flat
     round_off = 64.0 * np.finfo(float).eps * max(-field.data_min, field.data_max)
     policy, phi, seen, r_prev = None, None, set(), np.inf
     for _ in range(MAX_STEPS):
-        W = scheme.operator.apply(u, datum)[:scheme.n_kappa]
+        W = scheme.operator.apply(u)[:scheme.n_kappa]
         a, b = W.argmax(axis=0), W.argmin(axis=0)
         res = 0.5 * (W.max(axis=0) + W.min(axis=0)) - u[I]
         r = float(np.abs(res).max())
@@ -477,7 +484,7 @@ def solve_elliptic_steady(problem, config=None, scheme=None):
         if repeated or r <= round_off:
             if phi is None:
                 phi = _bicgstab(system, np.ones(len(I)), 1e-4)
-            gap = _certify(scheme, u, datum, phi, 4.0 * r + round_off)
+            gap = _certify(scheme, u, phi, 4.0 * r + round_off)
             if gap is not None and gap < config.steady_tolerance:
                 return GridFunction(problem.grid, u, np.inf)
             if gap is None or r > 0.5 * r_prev:
@@ -487,8 +494,7 @@ def solve_elliptic_steady(problem, config=None, scheme=None):
             break
         u[I] += du
         r_prev = r
-    return GridFunction(problem.grid, _bracket(scheme, field, datum, config),
-                        np.inf)
+    return GridFunction(problem.grid, _bracket(scheme, field, config), np.inf)
 
 
 def _policy_system(scheme, a, b):
@@ -528,21 +534,21 @@ def _bicgstab(matvec, rhs, rtol):
     return x
 
 
-def _certify(scheme, u, datum, phi, eps):
+def _certify(scheme, u, phi, eps):
     """max(hi - lo) for hi, lo = u +- eps phi on the interior if T(hi) <= hi
     and T(lo) >= lo there (one apply of the pair), else None."""
     I = scheme.interior_flat
     pair = np.stack([u, u])
     pair[0, I] += eps * phi
     pair[1, I] -= eps * phi
-    W = scheme.operator.apply(pair, [datum, datum])[:scheme.n_kappa]
+    W = scheme.operator.apply(pair)[:scheme.n_kappa]
     T = 0.5 * (W.max(axis=0) + W.min(axis=0))
     if (T[:, 0] <= pair[0, I]).all() and (T[:, 1] >= pair[1, I]).all():
         return float((pair[0] - pair[1]).max())
     return None
 
 
-def _bracket(scheme, field, datum, config):
+def _bracket(scheme, field, config):
     """Sweeps of T from the constant data minimum and maximum (boundary held
     at g), one stack, until they are within steady_tolerance; the midpoint."""
     I = scheme.interior_flat
@@ -551,7 +557,7 @@ def _bracket(scheme, field, datum, config):
     for _ in range(MAX_STEPS):
         if (U[1] - U[0]).max() < config.steady_tolerance:
             return 0.5 * (U[0] + U[1])
-        W = scheme.operator.apply(U, [datum, datum])[:scheme.n_kappa]
+        W = scheme.operator.apply(U)[:scheme.n_kappa]
         U[:, I] = 0.5 * (W.max(axis=0) + W.min(axis=0)).T
     raise SolverError(
         f"steady bracket did not close within MAX_STEPS={MAX_STEPS}")

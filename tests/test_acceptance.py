@@ -307,7 +307,7 @@ def test_criterion_12_consistency_order():
         jets = [field_jet(G, f, p) for p in scheme.coords_interior]
         deltas.append(delta)
         for h, errs in errors.items():
-            op, _ = scheme.discrete_operator(values[None], 0.0,
+            op, _ = scheme.discrete_operator(values[None],
                                              [Binding(scheme, f, f, h)])
             exact = np.array([
                 infinity_laplacian(h, jet.horizontal_gradient, jet.X)

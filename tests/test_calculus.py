@@ -189,8 +189,8 @@ def test_penalty_spec_validation():
     with pytest.raises(ValueError):
         PenaltySpec(m=5)
     with pytest.raises(ValueError):
-        PenaltySpec(m=4, tau=0.0)
-    assert PenaltySpec(m=6, tau=2.0).m == 6
+        PenaltySpec(m=2)
+    assert PenaltySpec(m=6).m == 6
 
 
 def test_doubling_penalty_spot_values():

@@ -82,7 +82,6 @@ def test_stencil_exact_on_grid_nodes(square):
     values = coords[:, 0] + 3.0 * coords[:, 1]
     op = build_stencil(square, [coords[[7, 20, 33]]])
     assert np.allclose(op.apply(values)[0], values[[7, 20, 33]])
-    assert op.outside.size == 0
     assert op.matrix.indices.dtype == np.int32
 
 
@@ -106,15 +105,16 @@ def test_stencil_weights_are_convex(square):
 
 
 def test_off_box_targets_use_clamped_datum(square):
+    # an off-box target is clamped to the box and reads the boundary nodes
+    # around the clamped point, so a bilinear nodal function is read exactly
     targets = np.array([[-0.5, 1.0], [0.5, 2.7]])
     op = build_stencil(square, [targets])
-    assert set(op.outside) == {0, 1}
-    assert np.allclose(op.clamped, [[0.0, 1.0], [0.5, 2.0]])
-    values = np.zeros(square.node_count)
-    out = op.apply(values, np.array([7.0, 9.0]))
-    assert out[0].tolist() == [7.0, 9.0]
-    with pytest.raises(ValueError, match="datum"):
-        op.apply(values)
+    coords = square.coords()
+    values = 7.0 + coords[:, 0] - 3.0 * coords[:, 1] + 2.0 * np.prod(coords, axis=1)
+    clamped = np.array([[0.0, 1.0], [0.5, 2.0]])
+    expect = 7.0 + clamped[:, 0] - 3.0 * clamped[:, 1] + 2.0 * np.prod(clamped, axis=1)
+    assert np.abs(op.apply(values)[0] - expect).max() <= 1e-14
+    assert set(op.matrix.indices) <= set(np.nonzero(square.lateral_mask())[0])
 
 
 def test_stencil_bank_matches_individual_stencils(square):
@@ -133,21 +133,11 @@ def test_stencil_bank_matches_individual_stencils(square):
     assert np.array_equal(stack[..., 1], op.apply(2.0 * values - 1.0))
 
 
-def test_stencil_bank_datum_cache(square):
-    values = np.zeros(square.node_count)
-    targets = np.array([[-0.5, 1.0], [0.5, 1.0]])
-    op = build_stencil(square, [targets])
-    datum = lambda pts, t: 5.0 + pts[:, 1] + t
-    out = op.apply(values, op.datum(datum, 2.0))
-    assert out[0, 0] == pytest.approx(8.0)
-    assert out[0, 1] == pytest.approx(0.0)
-
-
 @given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_operator_rows_are_convex_combinations_or_datum(ndim, seed):
-    # every update must stay a convex combination of stencil values: the
-    # exact comparison and maximum principles rest on it
+    # every update must stay a convex combination of stencil values, off-box
+    # targets included: the exact comparison and maximum principles rest on it
     rng = np.random.default_rng(seed)
     lo = rng.uniform(-3.0, 3.0, ndim)
     grid = GridSpec(box=tuple(zip(lo, lo + rng.uniform(0.1, 4.0, ndim))),
@@ -160,46 +150,34 @@ def test_operator_rows_are_convex_combinations_or_datum(ndim, seed):
     op = build_stencil(grid, target_list)
     A = op.matrix
     assert (A.data >= 0.0).all()
-    stored = np.diff(A.indptr)
-    assert (stored[op.outside] == 0).all()
-    in_box = np.setdiff1d(np.arange(A.shape[0]), op.outside)
-    assert np.abs(A.sum(axis=1)[in_box] - 1.0).max() <= 1e-15
-    datum = rng.uniform(-1.0, 1.0, op.outside.size)
-    out = op.apply(rng.uniform(-1.0, 1.0, grid.node_count), datum).ravel()
-    assert np.array_equal(out[op.outside], datum)
+    assert np.abs(A.sum(axis=1) - 1.0).max() <= 1e-15
 
 
 # SHA-256 of (dtype, shape, bytes) of each StencilOperator array, recorded
-# from the row-major build that the column-major one replaced: every weight,
-# index and clamped target must come out bit for bit the same.
+# from the row-major build that the column-major one replaced: every weight
+# and index must come out bit for bit the same.  plane_r03's radius sends
+# targets off the box; its arrays were re-recorded when those rows began to
+# read the boundary nodes, with every in-box row unchanged.
 OPERATOR_DIGESTS = {
     "heisenberg_9": {
         "data": "1b8c00980be98f947d9fa62a9ecc28f1572254f7694ff6daef64fcfe272fab1d",
         "indices": "f4c658938280eee008ef2eb4ed8be6c7bf69880ca5ea9643bdf13f4bda9fa88a",
         "indptr": "3daf51927f81031c30ca073e32a3aa68efa9824de92e8d467e902803061a02d8",
-        "outside": "55ae42cc1e37a5eb9f1634d077a895b753167504b99a5416b6affbd3512a86f6",
-        "clamped": "f566ab0b6fa61eef6c4a6a5ed6d676e9d2ddc2625bc92d5fad293ede51303d10",
     },
     "engel_5": {
         "data": "ba2e685145bf63532966a87fdadc44088ef5f72ae01105551e749cc3db49120e",
         "indices": "9d13bb03d963053a219918630d571cff7cc941034515e0e4c1904aebb20aefda",
         "indptr": "98ebffc94feb6970204d5b3af915edf81498c81f49f868c5cbad51c2731b70a5",
-        "outside": "55ae42cc1e37a5eb9f1634d077a895b753167504b99a5416b6affbd3512a86f6",
-        "clamped": "d049251e9e6551cdc069753398f7df17a95d984b501f7c56a8811fa528039942",
     },
     "plane_r03": {
-        "data": "d50135a3d5cbfc13025c693ca429d3ea522873e7825e5784ecc758a169b362fc",
-        "indices": "93631f8389880551541f7fa8685c95b6e154940d19d4b0ec7f14da1e28e2d3ee",
-        "indptr": "0aa176f89b7abf3ddaa72f29a935bdb00830fffde93fb1ca4bc60bc2a323a3a4",
-        "outside": "611feac41ed0e8961a8b2fa85b1d014d68b9abf833f15804a48abc35bfa32b48",
-        "clamped": "a3ad8efd38fc6d9166b77b3f6a96c650d10268866fe9ab901bf81b6090cfd3d4",
+        "data": "dd3857915b88e4553db2e914609b5a15fa9acba56732f31d9ef7eef7d9ec6cd1",
+        "indices": "f18eaec862af7d8c77a0e8a2e6d274691916a17e881038c951bac37145af87c2",
+        "indptr": "1cd8fca49fd8318efcce4f81a128bcd25275f1de85d1c9cbaf2bcbc7c7728dcf",
     },
     "line_129": {
         "data": "8b7034c733d0e9ada1a74bd09e1e5d313d1ed5a3e9c846ca20997b82f5883a12",
         "indices": "70d7adc698b212693499498d9141502231484a1b3618830718ce62149373cc55",
         "indptr": "1272cf16043dc474b9ec467301ceffb7460d8fc8c4ff7d176f55de8ab29409ec",
-        "outside": "55ae42cc1e37a5eb9f1634d077a895b753167504b99a5416b6affbd3512a86f6",
-        "clamped": "2c50ea1ea114b643875325f0b4e5dfa6bdeadab9425fc073141a2e0507be6894",
     },
 }
 GEOMETRIES = {
@@ -216,7 +194,7 @@ def operator_digests(name):
     problem = CauchyDirichletProblem(G, GridSpec(box=box, cells=cells), 2.0, f, f)
     op = Scheme(problem, SolverConfig(**config)).operator
     arrays = {"data": op.matrix.data, "indices": op.matrix.indices,
-              "indptr": op.matrix.indptr, "outside": op.outside, "clamped": op.clamped}
+              "indptr": op.matrix.indptr}
     return {part: hashlib.sha256(f"{a.dtype.str}{a.shape}".encode()
                                  + np.ascontiguousarray(a).tobytes()).hexdigest()
             for part, a in arrays.items()}
@@ -231,16 +209,14 @@ def test_stencil_operator_arrays_are_bit_identical_to_the_recorded_build(name):
 @pytest.mark.parametrize("B", [1, 2, 3])
 def test_stack_apply_is_one_csr_matvecs_bit_for_bit(name, B):
     # B >= 2 runs one matvec per field; its values must be the single
-    # csr_matvecs product over the stack, datum rows included
+    # csr_matvecs product over the stack, off-box rows included
     G, box, cells, config = GEOMETRIES[name]
     f = ScalarField.from_expression("x1", G.total_dim)
     problem = CauchyDirichletProblem(G, GridSpec(box=box, cells=cells), 2.0, f, f)
     op = Scheme(problem, SolverConfig(**config)).operator
     rng = np.random.default_rng(B)
     U = rng.uniform(-1.0, 1.0, (B, op.matrix.shape[1]))
-    data = [rng.uniform(-1.0, 1.0, op.outside.size) for _ in range(B)]
     expected = op.matrix @ U.T
-    expected[op.outside] = np.transpose(data)
-    out = op.apply(U, data)
+    out = op.apply(U)
     assert out.shape == (op.n_directions, op.matrix.shape[0] // op.n_directions, B)
     assert np.array_equal(out.reshape(expected.shape), expected)

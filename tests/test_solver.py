@@ -45,7 +45,7 @@ def at_node(problem, node, config=None):
     flat = int(np.ravel_multi_index(node, problem.grid.shape))
     scheme = Scheme(problem, config, node_subset=[flat])
     stack = Stack.of(scheme, problem)
-    W = scheme.operator.apply(stack.U, [stack.fields[0].datum(0.0)])
+    W = scheme.operator.apply(stack.U)
     return scheme, stack, W
 
 
@@ -199,7 +199,7 @@ def test_discrete_operator_oracles():
 
     def operator_at(problem, node):
         scheme, stack, _ = at_node(problem, node, config)
-        return float(scheme.discrete_operator(stack.U, stack.t, stack.fields)[0][0, 0])
+        return float(scheme.discrete_operator(stack.U, stack.fields)[0][0, 0])
 
     flat = make_problem(euclidean_group(2), ((0, 1), (0, 1)), (8, 8), 3.0, "5")
     assert operator_at(flat, (4, 4)) == 0.0
@@ -236,26 +236,13 @@ def test_node_subset_matches_full_evaluation():
     config = SolverConfig()
     full = Scheme(prob, config)
     u = prob.psi(full.coords, 0.0)[None]
-    op_full, _ = full.discrete_operator(u, 0.0, [Binding(full, prob.psi, prob.g, 2.0)])
+    op_full, _ = full.discrete_operator(u, [Binding(full, prob.psi, prob.g, 2.0)])
     subset = full.interior_flat[[5, 40, 100]]
     part = Scheme(prob, config, node_subset=subset)
     assert len(part.coords) < prob.grid.node_count
     u = prob.psi(part.coords, 0.0)[None]
-    op_part, _ = part.discrete_operator(u, 0.0, [Binding(part, prob.psi, prob.g, 2.0)])
+    op_part, _ = part.discrete_operator(u, [Binding(part, prob.psi, prob.g, 2.0)])
     assert np.array_equal(op_part, op_full[[5, 40, 100]])
-
-
-def test_datum_vector_follows_time_dependent_boundary_data():
-    # off-box flow targets read g at the step's own time level; a radius
-    # above the spacing sends targets of the outer interior nodes off the box
-    prob = make_problem(heisenberg_group(), ((-1, 1),) * 3, (6, 6, 6), 2.0,
-                        "x1 + x3", "x1 + x3 + t")
-    scheme = Scheme(prob, SolverConfig(stencil_radius=0.5))
-    field = Binding(scheme, prob.psi, prob.g, prob.h)
-    clamped = scheme.operator.clamped
-    assert len(clamped)
-    for t in (0.0, 0.25, 0.5, 0.25):
-        assert np.array_equal(field.datum(t), prob.g(clamped, t))
 
 
 # -- the geometry cache ----------------------------------------------
@@ -309,15 +296,12 @@ def test_schemes_of_other_content_build_their_own_geometry():
 
 
 def test_cached_geometry_is_read_only():
-    # a radius above the spacing sends targets off the box, so the datum
-    # rows and their clamped targets are held too
     prob = make_problem(heisenberg_group(), _CUBE, (4, 4, 4), 2.0, "x1*x2")
     scheme = Scheme(prob, SolverConfig(stencil_radius=0.75))
     op = scheme.operator
     arrays = [scheme.lateral, scheme.coords, scheme.interior_flat,
               scheme.coords_interior, scheme.coords_lateral, scheme.directions,
-              op.matrix.data, op.matrix.indices, op.matrix.indptr, op.outside,
-              op.clamped]
+              op.matrix.data, op.matrix.indices, op.matrix.indptr]
     for a in arrays:
         assert a.size
         with pytest.raises(ValueError, match="read-only"):
@@ -371,6 +355,28 @@ def test_invalid_node_subset_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(ValueError, match="parabolic boundary"):
             Scheme(prob, node_subset=[0, 31])
+
+
+_SOLVES = [solve_parabolic, solve_to_steady, solve_elliptic_steady]
+
+
+@pytest.mark.parametrize("solve", _SOLVES, ids=lambda f: f.__name__)
+def test_a_scheme_built_for_another_box_raises(solve):
+    prob = make_problem(euclidean_group(1), ((0, 1),), (16,), 2.0, "x1")
+    other = make_problem(euclidean_group(1), ((0, 2),), (16,), 2.0, "x1")
+    with pytest.raises(ValueError, match="another group, box"):
+        solve(prob, SolverConfig(), scheme=Scheme(other))
+
+
+@pytest.mark.parametrize("solve", _SOLVES, ids=lambda f: f.__name__)
+def test_a_scheme_built_for_another_direction_count_raises(solve):
+    prob = make_problem(euclidean_group(2), ((0, 1),) * 2, (6, 6), 2.0, "x1 + x2")
+    config = SolverConfig(direction_samples=32)
+    with pytest.raises(ValueError, match="direction count"):
+        solve(prob, config, scheme=Scheme(prob, SolverConfig(direction_samples=8)))
+    # the step and stop settings are not part of the geometry
+    scheme = Scheme(prob, replace(config, cfl_factor=0.3, steady_tolerance=1e-3, dt=1e-4))
+    assert Scheme.of(prob, config, scheme) is scheme
 
 
 # -- stepping --------------------------------------------------------
@@ -547,14 +553,14 @@ def _swept_bracket(prob, config):
     brackets the elliptic fixed point, by monotonicity."""
     scheme = Scheme(prob, config)
     field = Binding(scheme, prob.g, prob.g, prob.h)
-    datum, interior = field.datum(0.0), scheme.interior_flat
+    interior = scheme.interior_flat
     lo, hi = field.initial(), field.initial()
     lo[interior], hi[interior] = field.data_min, field.data_max
     for _ in range(20_000):
         if (hi - lo).max() < 1e-10:
             break
         for u in (lo, hi):
-            W = scheme.operator.apply(u, datum)[:scheme.n_kappa]
+            W = scheme.operator.apply(u)[:scheme.n_kappa]
             u[interior] = 0.5 * (W.max(axis=0) + W.min(axis=0))
     return lo, hi
 
@@ -645,14 +651,14 @@ def test_parabolic_flow_approaches_elliptic_steady():
 
 def test_solve_to_steady_envelope_covers_the_datum_it_reads():
     # g vanishes at every node but not between them on the boundary faces,
-    # where a radius above the spacing clamps off-box flow targets: only the
-    # datum vector carries the data that move the solution
+    # where a radius above the spacing clamps off-box flow targets: those
+    # read the boundary nodes, so the march reads zeros only
     g = "100*x1*(x1 - 0.25)*(x1 - 0.5)*(x1 - 0.75)*(x1 - 1)"
     prob = make_problem(euclidean_group(2), ((0, 1), (0, 1)), (4, 4), 1.0, g)
     config = SolverConfig(stencil_radius=0.4, steady_tolerance=1e-6)
     result, _ = solve_to_steady(prob, config)
     assert np.abs(prob.g(prob.grid.coords(), 0.0)).max() <= 1e-12
-    assert np.abs(result.final.values).max() > 1e-3
+    assert (result.final.values == 0.0).all()
     assert result.max_principle_ok
     assert result.data_min - 1e-12 <= result.final.values.min()
     assert result.final.values.max() <= result.data_max + 1e-12
@@ -670,7 +676,7 @@ _STACK_GROUPS = {"euclidean1": (euclidean_group(1), (16,)),
 def test_stack_march_matches_each_field_marched_alone(name, seed, n_fields, wide):
     # one apply for the whole stack must give every field exactly the values
     # it gets alone under the same dt sequence: per-field h, eps_g, static
-    # and time-dependent g, and off-box datum rows when the radius is wide
+    # and time-dependent g, and off-box rows when the radius is wide
     G, cells = _STACK_GROUPS[name]
     rng = np.random.default_rng(seed)
     n = G.total_dim

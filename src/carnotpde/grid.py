@@ -4,9 +4,10 @@ operator.
 The stencil operator records, for every interior node and every flow
 direction, where that group-flow move lands and how to read the value there
 back by multilinear interpolation (convex weights only), all as one sparse
-matrix.  Targets that leave the box are clamped coordinate-wise to the
-box and read the same way, from the boundary nodes around the clamped point,
-so every row reads grid nodes only.
+matrix, applied to one field's node values at a time.  Targets that leave
+the box are clamped coordinate-wise to the box and read the same way, from
+the boundary nodes around the clamped point, so every row reads grid nodes
+only.
 """
 
 from __future__ import annotations
@@ -118,21 +119,9 @@ class StencilOperator:
         self.n_directions = n_directions
 
     def apply(self, values):
-        """Values at every flow target: shape (D, K) for one field's node
-        values, (D, K, B) for a (B, nodes) stack."""
-        if values.ndim == 2 and len(values) > 1:
-            # one matvec per field: bit-identical to one csr_matvecs over
-            # the stack, and faster than it for B >= 2.  B = 1 keeps the
-            # single call: the per-row form, with its copy into the output,
-            # took 3.8 against 3.3 ms per 33^3 apply and read solve_s
-            # 1.55 -> 1.68 s on heis33_march and 3.22 -> 3.33 s on
-            # line129_flow (medians of 6 benchmark pairs, 2/6 wins on each)
-            out = np.empty((self.matrix.shape[0], len(values)))
-            for b, row in enumerate(values):
-                out[:, b] = self.matrix @ row
-        else:
-            out = self.matrix @ values.T
-        return out.reshape(self.n_directions, -1, *out.shape[1:])
+        """Values at every flow target of one field's (nodes,) values, shape
+        (D, K), from one matvec."""
+        return (self.matrix @ values).reshape(self.n_directions, -1)
 
 
 def build_stencil(grid, target_list):

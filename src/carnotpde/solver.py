@@ -29,9 +29,11 @@ horizon, h or data (the pairs of a comparison block, the h of an h-limit
 sweep, the experiments of one ``verify``).  A new key drops the held geometry
 before its own build, so the module never holds two.  A ``Binding`` is one
 field's data on it (psi, g, h, eps_g) and the envelope of every data value read.
-``march`` advances a (B, nodes) ``Stack`` of bound fields with one operator
-apply per step, whose gradient rows give both the speed and the CFL
-step; every solve and experiment runs on it.
+``march`` advances a (B, nodes) ``Stack`` of bound fields one step at a time.
+A step applies the operator to each field's (nodes,) row on its own, and
+that apply's gradient rows give both the field's speed and its CFL step;
+one min and one max of each updated row then check that it is finite and
+inside its data envelope.  Every solve and experiment runs on it.
 
 ``solve_elliptic_steady`` finds the fixed point of the same max + min map by
 policy iteration (one sparse linear solve per switch of each node's argmax
@@ -232,41 +234,40 @@ class Scheme:
 
     def gradient(self, W):
         """Central differences along the layer-1 axes from the +-e_i rows of
-        an apply: one (K, B) array per axis."""
+        one field's apply: one (K,) array per axis."""
         W = W[self._grad_start:]
         return [(W[2 * i] - W[2 * i + 1]) / (2.0 * self.delta)
                 for i in range(len(W) // 2)]
 
-    def kappa(self, U, W):
+    def kappa(self, u, W):
         """Median curvature (max + min of flow neighbors - 2u) / delta^2 of
-        the stack U from its apply W; shape (K, B)."""
-        W = W[:self.n_kappa]
-        u = U[:, self.interior_flat].T
+        one field's node values u from its apply W; shape (K,)."""
+        W, u = W[:self.n_kappa], u[self.interior_flat]
         return (W.max(axis=0) + W.min(axis=0) - 2.0 * u) / self.delta ** 2
 
     def discrete_operator(self, U, fields, cfl_factor=1.0):
-        """Speed times median curvature, shape (K, B), and the step each
-        field's speed allows, cfl_factor delta^2 / (2 max(1, |grad|^(h-1))),
-        one per field, from one apply."""
-        W = self.operator.apply(U)
-        op = self.kappa(U, W)
-        cap = [1.0] * len(fields)
-        if any(f.h != 1.0 for f in fields):
-            norm = _norm(self.gradient(W))
-            for b, f in enumerate(fields):
-                if f.h != 1.0:
-                    grad = np.ascontiguousarray(norm[:, b])
-                    op[:, b] *= np.where(grad > f.eps_g, grad ** (f.h - 1.0), 0.0)
-                    cap[b] = max(1.0, float(grad.max()) ** (f.h - 1.0))
-        return op, [cfl_factor * self.delta ** 2 / (2.0 * c) for c in cap]
+        """Speed times median curvature, one (K,) row per field of the stack
+        U, and the step each field's speed allows, cfl_factor delta^2 /
+        (2 max(1, |grad|^(h-1))), from one apply per field."""
+        ops, steps = [], []
+        for u, f in zip(U, fields):
+            W = self.operator.apply(u)
+            op, cap = self.kappa(u, W), 1.0
+            if f.h != 1.0:
+                grad = _norm(self.gradient(W))
+                op *= np.where(grad > f.eps_g, grad ** (f.h - 1.0), 0.0)
+                cap = max(1.0, float(grad.max()) ** (f.h - 1.0))
+            ops.append(op)
+            steps.append(cfl_factor * self.delta ** 2 / (2.0 * cap))
+        return ops, steps
 
     def step(self, stack, config, t_stop=np.inf):
         """One explicit Euler step of a stack on this geometry, in place.  dt
         is the smallest CFL step of the stack (config.dt when set), trimmed
         to land on t_stop.  A config.dt above that CFL step raises SolverError
-        before the update."""
-        U = stack.U
-        op, stack.cfl = self.discrete_operator(U, stack.fields, config.cfl_factor)
+        before the update, and so does a non-finite value after it.  A row
+        outside its data envelope clears ``stack.max_principle_ok``."""
+        ops, stack.cfl = self.discrete_operator(stack.U, stack.fields, config.cfl_factor)
         dt = min(stack.cfl)
         if config.dt is not None:
             if config.dt > dt:
@@ -275,16 +276,19 @@ class Scheme:
                     f"at t={stack.t:.6g}")
             dt = config.dt
         stack.dt = min(dt, t_stop - stack.t)
-        U[:, self.interior_flat] += stack.dt * op.T
         stack.t += stack.dt
         stack.steps += 1
-        for row, f in zip(U, stack.fields):
+        for row, f, op in zip(stack.U, stack.fields, ops):
+            row[self.interior_flat] += stack.dt * op
             row[self.lateral] = f.lateral(stack.t)
-        if not np.isfinite(U).all():
-            bad = int(np.nonzero(~np.isfinite(U))[1][0])
-            raise SolverError(
-                f"non-finite value at node {bad} after t={stack.t:.6g}; "
-                f"check the CFL step restriction")
+            lo, hi = row.min(), row.max()
+            if not -np.inf < lo <= hi < np.inf:      # a NaN fails every comparison
+                bad = int(np.nonzero(~np.isfinite(row))[0][0])
+                raise SolverError(
+                    f"non-finite value at node {bad} after t={stack.t:.6g}; "
+                    f"check the CFL step restriction")
+            stack.max_principle_ok = stack.max_principle_ok and bool(
+                lo >= f.data_min - 1e-12 and hi <= f.data_max + 1e-12)
 
 
 class Binding:
@@ -356,7 +360,8 @@ def march(stack, config, stops=None):
     land on the next stop exactly and the march ends on the last one;
     without, it runs until the caller stops asking.  Every step checks each
     field against the envelope of the data it has read (the discrete maximum
-    principle) and raises SolverError past ``MAX_STEPS``.
+    principle, ``Stack.max_principle_ok``); the march raises SolverError past
+    ``MAX_STEPS``.
     """
     stops = None if stops is None else iter(stops)
     stop = np.inf if stops is None else next(stops, None)
@@ -364,9 +369,6 @@ def march(stack, config, stops=None):
         stack.scheme.step(stack, config, stop)
         if stack.steps > MAX_STEPS:
             raise SolverError(f"exceeded MAX_STEPS={MAX_STEPS}")
-        stack.max_principle_ok = stack.max_principle_ok and all(
-            row.min() >= f.data_min - 1e-12 and row.max() <= f.data_max + 1e-12
-            for f, row in zip(stack.fields, stack.U))
         stack.at_stop = (stops is not None
                          and abs(stack.t - stop) <= 1e-12 * max(1.0, stop))
         yield stack
@@ -396,10 +398,12 @@ class SolveResult:
 
 
 def solve_parabolic(problem, config=None, snapshot_times=None, scheme=None):
-    """March from the initial datum to the horizon, collecting snapshots.
+    """March from the initial datum to the last snapshot time, collecting a
+    snapshot at each; without ``snapshot_times``, one at the horizon.
 
     Snapshot times must be distinct and lie in [0, horizon]; the step is
-    trimmed to land on them exactly and on the horizon.
+    trimmed to land on each exactly, and the march stops on the last one,
+    which may come before the horizon.
     """
     config = config or SolverConfig()
     scheme = Scheme.of(problem, config, scheme)
@@ -534,30 +538,33 @@ def _bicgstab(matvec, rhs, rtol):
     return x
 
 
+def _sweep(scheme, u):
+    """T(u) = (max + min of the flow neighbors) / 2 on the interior."""
+    W = scheme.operator.apply(u)[:scheme.n_kappa]
+    return 0.5 * (W.max(axis=0) + W.min(axis=0))
+
+
 def _certify(scheme, u, phi, eps):
     """max(hi - lo) for hi, lo = u +- eps phi on the interior if T(hi) <= hi
-    and T(lo) >= lo there (one apply of the pair), else None."""
+    and T(lo) >= lo there, else None."""
     I = scheme.interior_flat
-    pair = np.stack([u, u])
-    pair[0, I] += eps * phi
-    pair[1, I] -= eps * phi
-    W = scheme.operator.apply(pair)[:scheme.n_kappa]
-    T = 0.5 * (W.max(axis=0) + W.min(axis=0))
-    if (T[:, 0] <= pair[0, I]).all() and (T[:, 1] >= pair[1, I]).all():
-        return float((pair[0] - pair[1]).max())
+    hi, lo = u.copy(), u.copy()
+    hi[I] += eps * phi
+    lo[I] -= eps * phi
+    if (_sweep(scheme, hi) <= hi[I]).all() and (_sweep(scheme, lo) >= lo[I]).all():
+        return float((hi - lo).max())
     return None
 
 
 def _bracket(scheme, field, config):
     """Sweeps of T from the constant data minimum and maximum (boundary held
-    at g), one stack, until they are within steady_tolerance; the midpoint."""
+    at g), until they are within steady_tolerance; the midpoint."""
     I = scheme.interior_flat
-    U = np.stack([field.initial(), field.initial()])
-    U[0, I], U[1, I] = field.data_min, field.data_max
+    lo, hi = field.initial(), field.initial()
+    lo[I], hi[I] = field.data_min, field.data_max
     for _ in range(MAX_STEPS):
-        if (U[1] - U[0]).max() < config.steady_tolerance:
-            return 0.5 * (U[0] + U[1])
-        W = scheme.operator.apply(U)[:scheme.n_kappa]
-        U[:, I] = 0.5 * (W.max(axis=0) + W.min(axis=0)).T
+        if (hi - lo).max() < config.steady_tolerance:
+            return 0.5 * (lo + hi)
+        lo[I], hi[I] = _sweep(scheme, lo), _sweep(scheme, hi)
     raise SolverError(
         f"steady bracket did not close within MAX_STEPS={MAX_STEPS}")

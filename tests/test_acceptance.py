@@ -312,7 +312,7 @@ def test_criterion_12_consistency_order():
             exact = np.array([
                 infinity_laplacian(h, jet.horizontal_gradient, jet.X)
                 for jet in jets])
-            errs.append(float(np.abs(op[:, 0] - exact).max()))
+            errs.append(float(np.abs(op[0] - exact).max()))
     orders = {h: float(np.polyfit(np.log(deltas), np.log(errs), 1)[0])
               for h, errs in errors.items()}
     elapsed = time.perf_counter() - t0

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from carnotpde import experiments
 from carnotpde.calculus import PenaltySpec
 from carnotpde.experiments import (
     EXPERIMENTS,
@@ -82,6 +83,38 @@ def test_comparison_rejects_unordered_data(heis_problem):
     with pytest.raises(PreconditionError, match="ordered"):
         comparison_experiment(heis_problem, SolverConfig(),
                               heis_problem.psi + 1.0, heis_problem.psi)
+
+
+@pytest.mark.parametrize("offset,levels", [("1", 1), ("1 + t", 9)])
+def test_comparison_precondition_reads_each_time_level_once(
+        monkeypatch, heis_problem, offset, levels):
+    # u0 and v0 on every node at t = 0, then on the lateral nodes at each
+    # level: one level when neither field names t, nine when one does
+    calls = []
+    evaluate = ScalarField.__call__
+
+    def spy(field, coords, t=0.0):
+        calls.append(t)
+        return evaluate(field, coords, t)
+
+    class Stop(Exception):
+        pass
+
+    def stop(*args):
+        raise Stop
+
+    monkeypatch.setattr(ScalarField, "__call__", spy)
+    monkeypatch.setattr(experiments, "Stack", stop)
+    u0 = heis_problem.psi
+    v0 = u0 + ScalarField.from_expression(offset, 3)
+    with pytest.raises(Stop):
+        comparison_experiment(heis_problem, SolverConfig(), u0, v0)
+    assert len(calls) == 2 + 2 * levels
+    # a pair that leaves its order on the boundary after t = 0 is still caught
+    if levels > 1:
+        late = u0 + ScalarField.from_expression("40*t - 1", 3)
+        with pytest.raises(PreconditionError, match="boundary data are not ordered"):
+            comparison_experiment(heis_problem, SolverConfig(), late, u0)
 
 
 def test_comparison_constant_offset_gap_is_exact(line_problem):

@@ -45,13 +45,13 @@ def at_node(problem, node, config=None):
     flat = int(np.ravel_multi_index(node, problem.grid.shape))
     scheme = Scheme(problem, config, node_subset=[flat])
     stack = Stack.of(scheme, problem)
-    W = scheme.operator.apply(stack.U)
+    W = scheme.operator.apply(stack.U[0])
     return scheme, stack, W
 
 
 def gradient_at(problem, node, config=None):
     scheme, _, W = at_node(problem, node, config)
-    return np.array([d[0, 0] for d in scheme.gradient(W)])
+    return np.array([d[0] for d in scheme.gradient(W)])
 
 
 def second_difference(problem, node, eta):
@@ -62,7 +62,7 @@ def second_difference(problem, node, eta):
     rows = [int(np.abs(scheme.directions - v).max(axis=1).argmin()) for v in (eta, -eta)]
     assert np.abs(scheme.directions[rows] - [eta, -eta]).max() < 1e-12
     u = stack.U[0, scheme.interior_flat[0]]
-    return float((W[rows[0], 0, 0] + W[rows[1], 0, 0] - 2.0 * u) / scheme.delta ** 2)
+    return float((W[rows[0], 0] + W[rows[1], 0] - 2.0 * u) / scheme.delta ** 2)
 
 
 # -- configuration and setup -----------------------------------------
@@ -199,7 +199,7 @@ def test_discrete_operator_oracles():
 
     def operator_at(problem, node):
         scheme, stack, _ = at_node(problem, node, config)
-        return float(scheme.discrete_operator(stack.U, stack.fields)[0][0, 0])
+        return float(scheme.discrete_operator(stack.U, stack.fields)[0][0][0])
 
     flat = make_problem(euclidean_group(2), ((0, 1), (0, 1)), (8, 8), 3.0, "5")
     assert operator_at(flat, (4, 4)) == 0.0
@@ -242,7 +242,7 @@ def test_node_subset_matches_full_evaluation():
     assert len(part.coords) < prob.grid.node_count
     u = prob.psi(part.coords, 0.0)[None]
     op_part, _ = part.discrete_operator(u, [Binding(part, prob.psi, prob.g, 2.0)])
-    assert np.array_equal(op_part, op_full[[5, 40, 100]])
+    assert np.array_equal(op_part[0], op_full[0][[5, 40, 100]])
 
 
 # -- the geometry cache ----------------------------------------------
@@ -480,6 +480,75 @@ def test_step_monotonicity_h1(seed):
     assert (u1 <= v1 + 1e-13).all()
 
 
+def _reference_step(scheme, stack, config):
+    """One step of a stack in the stack-wide form, without touching it: one
+    matrix @ U.T over the stack, max + min of the first n_kappa rows, the
+    central differences of the last 2 n1 (the +-e_i), the relaxed speed, dt
+    the smallest CFL step, then g at the lateral nodes.  (U, t, dt, cfl)."""
+    U, I = stack.U.copy(), scheme.interior_flat
+    D, n1 = scheme.directions.shape
+    W = (scheme.operator.matrix @ U.T).reshape(D, len(I), len(U))
+    kappa = W[:scheme.n_kappa]
+    op = (kappa.max(axis=0) + kappa.min(axis=0) - 2.0 * U[:, I].T) / scheme.delta ** 2
+    axes = [(W[i] - W[i + 1]) / (2.0 * scheme.delta) for i in range(D - 2 * n1, D, 2)]
+    sq = axes[0] * axes[0]
+    for c in axes[1:]:
+        sq += c * c
+    norm = np.sqrt(sq)
+    cfl = []
+    for b, f in enumerate(stack.fields):
+        cap = 1.0
+        if f.h != 1.0:
+            grad = np.ascontiguousarray(norm[:, b])
+            op[:, b] *= np.where(grad > f.eps_g, grad ** (f.h - 1.0), 0.0)
+            cap = max(1.0, float(grad.max()) ** (f.h - 1.0))
+        cfl.append(config.cfl_factor * scheme.delta ** 2 / (2.0 * cap))
+    dt = min(cfl)
+    U[:, I] += dt * op.T
+    t = stack.t + dt
+    for row, f in zip(U, stack.fields):
+        row[scheme.lateral] = f.g(scheme.coords_lateral, t)
+    return U, t, dt, cfl
+
+
+_STEP_GEOMETRIES = {"euclidean1": (euclidean_group(1), (16,), 16),
+                    "euclidean2_6": (euclidean_group(2), (6, 6), 6),
+                    "heisenberg": (heisenberg_group(), (6, 6, 6), 16),
+                    "engel": (engel_group(), (4, 4, 4, 4), 16)}
+
+
+@pytest.mark.parametrize("name", sorted(_STEP_GEOMETRIES))
+@given(seed=st.integers(0, 2 ** 32 - 1), n_fields=st.integers(1, 3))
+@settings(max_examples=12, deadline=None)
+def test_step_is_the_stack_wide_step_bit_for_bit(name, seed, n_fields):
+    # every value of a step (field values, t, dt and each CFL step) must be
+    # the stack-wide form's to the last bit, for h in {1, 1.5, 2, 3}, static
+    # and time-dependent g, and a direction set that lacks +-e2 (6 samples
+    # on R^2), whose gradient rows the operator appends after the kappa rows
+    G, cells, samples = _STEP_GEOMETRIES[name]
+    rng = np.random.default_rng(seed)
+    n = G.total_dim
+    prob = make_problem(G, ((-1, 1),) * n, cells, 2.0, "x1", horizon=1.0)
+    config = SolverConfig(direction_samples=samples, cfl_factor=rng.uniform(0.3, 1.0))
+    scheme = Scheme(prob, config)
+    fields = []
+    for _ in range(n_fields):
+        c = rng.uniform(-1.0, 1.0, 5)
+        expr = (f"{c[0]}*x1 + {c[1]}*x{n}*x1 + {c[2]}*x{n}**2 + {c[3]}*x1**3"
+                + (f" + {c[4]}*t*x1" if rng.random() < 0.5 else ""))
+        f = ScalarField.from_expression(expr, n)
+        eps = scheme.delta if rng.random() < 0.5 else rng.uniform(0.0, 0.5)
+        fields.append(Binding(scheme, f, f, float(rng.choice([1.0, 1.5, 2.0, 3.0])), eps))
+    stack = Stack(fields)
+    for _ in range(3):
+        U, t, dt, cfl = _reference_step(scheme, stack, config)
+        scheme.step(stack, config)
+        assert np.array_equal(stack.U.view(np.int64), U.view(np.int64))
+        assert (stack.t, stack.dt) == (t, dt)
+        assert np.array_equal(np.array(stack.cfl).view(np.int64),
+                              np.array(cfl).view(np.int64))
+
+
 def test_shift_equivariance_any_h():
     # adding a constant to data shifts the whole evolution by that constant
     base = make_problem(heisenberg_group(), ((-1, 1),) * 3, (6, 6, 6), 3.0,
@@ -501,6 +570,23 @@ def test_max_principle_on_random_data():
     assert result.final.values.min() >= result.data_min - 1e-12
 
 
+def test_a_step_outside_the_data_envelope_clears_max_principle_ok(monkeypatch):
+    # a planted defect: the operator scaled 100x past its CFL step overshoots
+    # the data envelope; the flag stays cleared after correct steps
+    prob = make_problem(euclidean_group(1), ((0, 1),), (16,), 2.0, "x1*(1 - x1)")
+    config = SolverConfig()
+    scheme = Scheme(prob, config)
+    stack = Stack.of(scheme, prob)
+    steps = march(stack, config)
+    assert next(steps).max_principle_ok
+    operator = scheme.discrete_operator
+    monkeypatch.setattr(scheme, "discrete_operator", lambda *args: (
+        [100.0 * op for op in operator(*args)[0]], operator(*args)[1]))
+    assert not next(steps).max_principle_ok
+    monkeypatch.undo()
+    assert not next(steps).max_principle_ok
+
+
 def test_snapshot_times_are_hit_exactly():
     prob = make_problem(euclidean_group(1), ((0, 1),), (16,), 2.0, "x1**2",
                         "x1", horizon=0.1)
@@ -512,6 +598,20 @@ def test_snapshot_times_are_hit_exactly():
         [0.0, 0.03, 0.1], abs=1e-12)
     with pytest.raises(ValueError, match="horizon"):
         solve_parabolic(prob, SolverConfig(), snapshot_times=[0.2])
+
+
+def test_march_stops_at_the_last_snapshot_time():
+    # a last snapshot before the horizon ends the march there: the same
+    # steps and values as a march whose horizon is that time
+    prob = make_problem(euclidean_group(1), ((0, 1),), (16,), 2.0, "x1**2",
+                        horizon=0.4)
+    result = solve_parabolic(prob, SolverConfig(), snapshot_times=[0.1])
+    assert len(result.snapshots) == 1
+    assert result.final.time_level == 0.1
+    short = solve_parabolic(replace(prob, grid=replace(prob.grid, horizon=0.1)),
+                            SolverConfig())
+    assert result.steps == short.steps
+    assert np.array_equal(result.final.values, short.final.values)
 
 
 def test_snapshot_times_below_zero_or_repeated_are_rejected():

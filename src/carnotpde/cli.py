@@ -116,8 +116,9 @@ def parse_config(text):
     box = _require(data, "box", list)
     cells = [_integer(c, "cells") for c in _require(data, "cells", list)]
     h = _require(data, "h", float)
-    if h < 1.0:
-        raise ConfigError(f"h = {h} violates the homogeneity constraint h >= 1")
+    if not 1.0 <= h < math.inf:
+        raise ConfigError(
+            f"h = {h} violates the homogeneity constraint h >= 1, h finite")
     horizon = float(data.get("T", 1.0))
     grid = GridSpec(box=tuple(tuple(b) for b in box), cells=tuple(cells),
                     horizon=horizon)

@@ -12,6 +12,7 @@ only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +32,15 @@ class GridSpec:
         object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
         if len(self.box) != len(self.cells):
             raise ValueError("box and cells must agree on the number of axes")
+        if not all(math.isfinite(x) for axis in self.box for x in axis):
+            raise ValueError(f"box bounds must be finite, got {self.box}")
         if any(b <= a for a, b in self.box):
             raise ValueError("each axis needs lo < hi")
         if any(c < 2 for c in self.cells):
             raise ValueError("need at least 2 cells per axis")
-        if self.horizon <= 0:
-            raise ValueError("time horizon must be positive")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError(
+                f"time horizon T must be positive and finite, got {self.horizon!r}")
 
     @property
     def ndim(self):

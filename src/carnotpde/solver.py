@@ -7,15 +7,15 @@ The update at an interior node p is
     u'(p) = u(p) + dt * s * (max_eta W + min_eta W - 2 u(p)) / delta^2
 
 where W are the values at the group-flow targets p * exp(delta eta) over a
-fixed antipodal direction set and s is the gradient-dependent speed
-|grad|^(h-1) (relaxed to 0 below the gradient threshold for h > 1, and to 1
-for h = 1).  With the CFL step bound each field's update is a convex
-combination of its stencil values, which gives the discrete maximum
-principle exactly for every h.  The discrete comparison principle holds
-exactly for h = 1 only: for h != 1 the speed comes from central differences
-of the neighbor values, so where the curvature is negative raising a
-neighbor can lower the update, and an ordered pair can cross (ROADMAP
-item 1, a monotone update for every h).
+fixed antipodal direction set and s is the speed |grad|^(h-1) of the
+central-difference gradient at every node (h = 1 skips the gradient: s = 1).
+A step is the CFL step, trimmed to land on the next stop.  With it each
+field's update is a convex combination of its stencil values, which gives
+the discrete maximum principle exactly for every h.  The discrete comparison
+principle holds exactly for h = 1 only: for h != 1 the speed comes from
+central differences of the neighbor values, so where the curvature is
+negative raising a neighbor can lower the update, and an ordered pair can
+cross (ROADMAP item 1, a monotone update for every h).
 
 A ``Scheme`` is the data-free geometry of one (group, grid, delta, direction
 set): its stencil operator (``grid.StencilOperator``), whose rows read grid
@@ -28,7 +28,7 @@ Schemes of equal content share one build: problems that differ only in
 horizon, h or data (the pairs of a comparison block, the h of an h-limit
 sweep, the experiments of one ``verify``).  A new key drops the held geometry
 before its own build, so the module never holds two.  A ``Binding`` is one
-field's data on it (psi, g, h, eps_g) and the envelope of every data value read.
+field's data on it (psi, g, h) and the envelope of every data value read.
 ``march`` advances a (B, nodes) ``Stack`` of bound fields one step at a time.
 A step applies the operator to each field's (nodes,) row on its own, and
 that apply's gradient rows give both the field's speed and its CFL step;
@@ -66,7 +66,6 @@ class SolverConfig:
     cfl_factor: float = 0.5
     direction_samples: int = 16
     steady_tolerance: float = 1e-8            # elliptic solve: certified sup error
-    dt: float = None                          # fixed step, at most the CFL step
     stencil_radius: float = None              # default: the grid spacing delta
 
     def __post_init__(self):
@@ -74,7 +73,7 @@ class SolverConfig:
             raise ValueError("cfl_factor must lie in (0, 1]")
         if not 4 <= self.direction_samples < np.inf:
             raise ValueError("direction_samples must be a finite count of at least 4")
-        for name in ("steady_tolerance", "dt", "stencil_radius"):
+        for name in ("steady_tolerance", "stencil_radius"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -89,8 +88,9 @@ class CauchyDirichletProblem:
     g: object                                 # lateral datum
 
     def __post_init__(self):
-        if self.h < 1:
-            raise ValueError("homogeneity exponent h must be >= 1")
+        if not 1.0 <= self.h < np.inf:
+            raise ValueError(
+                f"homogeneity exponent h must be finite and >= 1, got {self.h!r}")
         if self.grid.ndim != self.group.total_dim:
             raise ValueError("grid dimension does not match the group")
         lateral = self.grid.coords(np.nonzero(self.grid.lateral_mask())[0])
@@ -255,7 +255,7 @@ class Scheme:
             op, cap = self.kappa(u, W), 1.0
             if f.h != 1.0:
                 grad = _norm(self.gradient(W))
-                op *= np.where(grad > f.eps_g, grad ** (f.h - 1.0), 0.0)
+                op *= grad ** (f.h - 1.0)
                 cap = max(1.0, float(grad.max()) ** (f.h - 1.0))
             ops.append(op)
             steps.append(cfl_factor * self.delta ** 2 / (2.0 * cap))
@@ -263,19 +263,11 @@ class Scheme:
 
     def step(self, stack, config, t_stop=np.inf):
         """One explicit Euler step of a stack on this geometry, in place.  dt
-        is the smallest CFL step of the stack (config.dt when set), trimmed
-        to land on t_stop.  A config.dt above that CFL step raises SolverError
-        before the update, and so does a non-finite value after it.  A row
-        outside its data envelope clears ``stack.max_principle_ok``."""
+        is the smallest CFL step of the stack, trimmed to land on t_stop.  A
+        non-finite value after the update raises SolverError; a row outside
+        its data envelope clears ``stack.max_principle_ok``."""
         ops, stack.cfl = self.discrete_operator(stack.U, stack.fields, config.cfl_factor)
-        dt = min(stack.cfl)
-        if config.dt is not None:
-            if config.dt > dt:
-                raise SolverError(
-                    f"fixed dt={config.dt:.6g} exceeds the CFL step {dt:.6g} "
-                    f"at t={stack.t:.6g}")
-            dt = config.dt
-        stack.dt = min(dt, t_stop - stack.t)
+        stack.dt = min(min(stack.cfl), t_stop - stack.t)
         stack.t += stack.dt
         stack.steps += 1
         for row, f, op in zip(stack.U, stack.fields, ops):
@@ -293,14 +285,12 @@ class Scheme:
 
 class Binding:
     """One field's data on a Scheme's geometry: initial datum psi, lateral
-    datum g, exponent h and gradient threshold eps_g (delta by default).
-    g's lateral values are evaluated once when g does not depend on t and
-    once per time level otherwise; data_min and data_max bound every data
-    value read so far."""
+    datum g and exponent h.  g's lateral values are evaluated once when g
+    does not depend on t and once per time level otherwise; data_min and
+    data_max bound every data value read so far."""
 
-    def __init__(self, scheme, psi, g, h, eps_g=None):
+    def __init__(self, scheme, psi, g, h):
         self.scheme, self.psi, self.g, self.h = scheme, psi, g, h
-        self.eps_g = scheme.delta if eps_g is None else eps_g
         self._lateral = None                  # (t, g at the lateral nodes)
         self.data_min, self.data_max = np.inf, -np.inf
 
@@ -406,16 +396,17 @@ def solve_parabolic(problem, config=None, snapshot_times=None, scheme=None):
     which may come before the horizon.
     """
     config = config or SolverConfig()
-    scheme = Scheme.of(problem, config, scheme)
     grid = problem.grid
     times = sorted(snapshot_times) if snapshot_times else [grid.horizon]
+    if not np.isfinite(times).all():
+        raise ValueError(f"snapshot_times must be finite, got {times}")
     if times[0] < 0.0:
         raise ValueError("snapshot time before t = 0")
     if times[-1] > grid.horizon + 1e-12:
         raise ValueError("snapshot time beyond the horizon")
     if len(set(times)) < len(times):
         raise ValueError("repeated snapshot time")
-    stack = Stack.of(scheme, problem)
+    stack = Stack.of(Scheme.of(problem, config, scheme), problem)
     snapshots = []
     if times[0] <= 1e-14:
         snapshots.append(GridFunction(grid, stack.U[0].copy(), 0.0))

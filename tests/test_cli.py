@@ -1,11 +1,14 @@
 """Config parsing, CSV/JSON export, exit codes and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from carnotpde import cli
+from carnotpde import cli, solver
 from carnotpde.cli import ConfigError, list_experiments, main, parse_config
 from carnotpde.experiments import ExperimentReport
 from carnotpde.grid import GridFunction, GridSpec
@@ -298,6 +301,50 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert main(["solve", str(config)]) == 1
     assert "h >= 1" in capsys.readouterr().err
     assert main(["solve", str(tmp_path / "missing.json")]) == 1
+
+
+@pytest.mark.parametrize("key,overrides,message", [
+    ("T", {"T": float("nan")}, "time horizon T must be positive and finite"),
+    ("T", {"T": float("inf")}, "time horizon T must be positive and finite"),
+    ("h", {"h": float("inf")}, "h finite"),
+    ("h", {"h": float("nan")}, "h finite"),
+    ("box", {"box": [[0, float("inf")]]}, "box bounds must be finite"),
+    ("snapshot_times", {"snapshot_times": [float("nan")]},
+     "snapshot_times must be finite"),
+])
+def test_non_finite_settings_exit_one_naming_their_key(
+        tmp_path, capsys, monkeypatch, key, overrides, message):
+    # each is rejected before the march: unchecked, a NaN horizon or snapshot
+    # time marches to MAX_STEPS and an infinite horizon is taken as reached
+    class Stop(Exception):
+        pass
+
+    def stop(*args):
+        raise Stop
+
+    monkeypatch.setattr(solver, "march", stop)
+    path = write_config(tmp_path, **overrides)
+    assert main(["--out", str(tmp_path / "out"), "solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and key in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def _module_cli(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-m", "carnotpde", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_lists_and_rejects(tmp_path):
+    listed = _module_cli("list")
+    assert listed.returncode == 0
+    assert listed.stdout == list_experiments() + "\n"
+    path = write_config(tmp_path, T=float("nan"), box=[[0, 1]], cells=[4])
+    solved = _module_cli("--out", str(tmp_path / "out"), "solve", str(path))
+    assert solved.returncode == 1
+    assert solved.stderr == ("error: time horizon T must be positive and "
+                             "finite, got nan\n")
 
 
 def test_solver_setting_that_cannot_take_effect_exits_one(tmp_path, capsys):

@@ -88,8 +88,9 @@ def test_comparison_rejects_unordered_data(heis_problem):
 @pytest.mark.parametrize("offset,levels", [("1", 1), ("1 + t", 9)])
 def test_comparison_precondition_reads_each_time_level_once(
         monkeypatch, heis_problem, offset, levels):
-    # u0 and v0 on every node at t = 0, then on the lateral nodes at each
-    # level: one level when neither field names t, nine when one does
+    # u0 and v0 once per time level: on every node at t = 0, then on the
+    # lateral nodes at each later level, of which there are none when
+    # neither field names t and eight when one does
     calls = []
     evaluate = ScalarField.__call__
 
@@ -109,7 +110,7 @@ def test_comparison_precondition_reads_each_time_level_once(
     v0 = u0 + ScalarField.from_expression(offset, 3)
     with pytest.raises(Stop):
         comparison_experiment(heis_problem, SolverConfig(), u0, v0)
-    assert len(calls) == 2 + 2 * levels
+    assert len(calls) == 2 * levels
     # a pair that leaves its order on the boundary after t = 0 is still caught
     if levels > 1:
         late = u0 + ScalarField.from_expression("40*t - 1", 3)
@@ -201,6 +202,15 @@ def test_homogeneity_below_one_keeps_both_marches_within_their_cfl_steps(heis_pr
     # the scaled march steps dt / k, so for k < 1/2 the step must come from its bound
     report = homogeneity_experiment(heis_problem, SolverConfig(), 0.25)
     assert report.passed
+
+
+@pytest.mark.parametrize("k", [0.4, 3.0])
+@pytest.mark.parametrize("h", [1.5, 2.0, 3.0])
+def test_homogeneity_holds_for_factors_that_are_not_powers_of_two(heis_problem, h, k):
+    # the stops dt / k are not dt scaled by a power of two
+    from dataclasses import replace
+    report = homogeneity_experiment(replace(heis_problem, h=h), SolverConfig(), k)
+    assert report.passed, report.measured
 
 
 def test_long_time_requires_static_boundary_data(line_problem):

@@ -27,6 +27,14 @@ def test_grid_spec_validation():
         GridSpec(box=((0, 1),), cells=(1,))
     with pytest.raises(ValueError):
         GridSpec(box=((0, 1),), cells=(4,), horizon=0.0)
+    # unchecked, a NaN horizon is never reached and an infinite one is
+    # taken as reached
+    for horizon in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="horizon T must be positive and finite"):
+            GridSpec(box=((0, 1),), cells=(4,), horizon=horizon)
+    for box in (((0, np.inf),), ((-np.inf, 1),), ((0, np.nan),)):
+        with pytest.raises(ValueError, match="box bounds must be finite"):
+            GridSpec(box=box, cells=(4,))
 
 
 def test_grid_geometry(square):

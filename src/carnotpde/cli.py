@@ -82,11 +82,16 @@ def _brackets(value):
 def _require(data, key, kind):
     if key not in data:
         raise ConfigError(f"missing required key '{key}'")
-    value = data[key]
-    if kind is float and isinstance(value, int):
+    return _typed(data[key], key, kind)
+
+
+def _typed(value, key, kind):
+    """``value`` of ``key`` as a ``kind``, an integer as a float; true, null
+    or "0.5" is not a float."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind):
-        raise ConfigError(f"key '{key}' must be of type {kind.__name__}")
+        raise ConfigError(f"key '{key}' must be of type {kind.__name__}, got {value!r}")
     return value
 
 
@@ -114,14 +119,16 @@ def parse_config(text):
         raise ConfigError("'group' must be a preset name or a custom spec object")
 
     box = _require(data, "box", list)
+    if not all(isinstance(b, list) and len(b) == 2 for b in box):
+        raise ConfigError(f"key 'box' needs one [lo, hi] pair per axis, got {box!r}")
     cells = [_integer(c, "cells") for c in _require(data, "cells", list)]
     h = _require(data, "h", float)
     if not 1.0 <= h < math.inf:
         raise ConfigError(
             f"h = {h} violates the homogeneity constraint h >= 1, h finite")
-    horizon = float(data.get("T", 1.0))
-    grid = GridSpec(box=tuple(tuple(b) for b in box), cells=tuple(cells),
-                    horizon=horizon)
+    horizon = _typed(data.get("T", 1.0), "T", float)
+    grid = GridSpec(box=tuple(tuple(_typed(x, "box", float) for x in b) for b in box),
+                    cells=tuple(cells), horizon=horizon)
     if grid.ndim != group.total_dim:
         raise ConfigError(
             f"box has {grid.ndim} axes but group '{group.label}' has "
@@ -148,15 +155,16 @@ def parse_config(text):
     if unknown:
         raise ConfigError(f"unknown experiments: {', '.join(unknown)}")
 
+    times = _typed(data.get("snapshot_times", [horizon]), "snapshot_times", list)
     return RunConfig(
         problem=CauchyDirichletProblem(group, grid, h, psi, g),
         solver=SolverConfig(**{
-            key: _integer(data[key], key) if kind is int else kind(data[key])
+            key: _integer(data[key], key) if kind is int else _typed(data[key], key, kind)
             for key, kind in _SOLVER_KEYS.items() if key in data}),
         experiments=experiments,
-        output_dir=data.get("output_dir", "."),
+        output_dir=_typed(data.get("output_dir", "."), "output_dir", str),
         seed=_integer(data.get("seed", 0), "seed"),
-        snapshot_times=[float(s) for s in data.get("snapshot_times", [horizon])],
+        snapshot_times=[_typed(s, "snapshot_times", float) for s in times],
     )
 
 

@@ -182,7 +182,8 @@ def homogeneity_experiment(problem, config, k):
     v = Stack([Binding(scheme, problem.psi * c, problem.g * c, h)])
     # half the tighter CFL step of the two marches: v's bound is the tighter
     # one when k < 1
-    dt = 0.5 * min(u.cfl_dt(config)[0], k * v.cfl_dt(config)[0])
+    dt = 0.5 * min(scheme.discrete_operator(u.U[0], h, config.cfl_factor)[1],
+                   k * scheme.discrete_operator(v.U[0], h, config.cfl_factor)[1])
     levels = np.arange(1, max(4, int(round(problem.grid.horizon / dt))) + 1)
 
     worst = float(np.abs(v.U - c * u.U).max())
@@ -213,8 +214,8 @@ def long_time_experiment(problem, config, n_pairs=8):
     scheme = Scheme(problem, config)
     stack = Stack.of(scheme, problem)
     data_sup = float(np.abs(stack.U).max())
-    caps = itertools.accumulate(itertools.repeat(2.0 ** 0.25), mul,
-                                initial=8.0 * stack.cfl_dt(config)[0])
+    dt0 = scheme.discrete_operator(stack.U[0], h, config.cfl_factor)[1]
+    caps = itertools.accumulate(itertools.repeat(2.0 ** 0.25), mul, initial=8.0 * dt0)
     captures = [(0.0, stack.U[0].copy())]
     for _ in march(stack, config, caps):
         if stack.at_stop:

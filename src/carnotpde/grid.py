@@ -1,13 +1,12 @@
 """Axis-aligned coordinate boxes, sampled grid functions and the flow-stencil
-operator.
+matrix.
 
-The stencil operator records, for every interior node and every flow
-direction, where that group-flow move lands and how to read the value there
-back by multilinear interpolation (convex weights only), all as one sparse
-matrix, applied to one field's node values at a time.  Targets that leave
-the box are clamped coordinate-wise to the box and read the same way, from
-the boundary nodes around the clamped point, so every row reads grid nodes
-only.
+``build_stencil`` records, for every flow target it is given, how to read
+the value there back by multilinear interpolation of the grid nodes (convex
+weights only), all as one sparse matrix; ``solver.Scheme`` lays out its rows
+and applies it.  Targets that leave the box are clamped coordinate-wise to
+the box and read the same way, from the boundary nodes around the clamped
+point, so every row reads grid nodes only.
 """
 
 from __future__ import annotations
@@ -29,6 +28,8 @@ class GridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "box", tuple((float(a), float(b)) for a, b in self.box))
+        if not all(float(c).is_integer() for c in self.cells):
+            raise ValueError(f"cells must be integers, got {self.cells}")
         object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
         if len(self.box) != len(self.cells):
             raise ValueError("box and cells must agree on the number of axes")
@@ -110,28 +111,15 @@ class GridFunction:
         return float(np.abs(self.values).max())
 
 
-class StencilOperator:
-    """Every flow stencil over one node set, held as one CSR matrix.
-
-    Row d*K + k reads direction d's target from interior node k, clamped
-    coordinate-wise to the box: the convex multilinear weights of the
-    corners of its cell, exact zeros dropped, int32 indices.
-    """
-
-    def __init__(self, matrix, n_directions):
-        self.matrix = matrix
-        self.n_directions = n_directions
-
-    def apply(self, values):
-        """Values at every flow target of one field's (nodes,) values, shape
-        (D, K), from one matvec."""
-        return (self.matrix @ values).reshape(self.n_directions, -1)
-
-
 def build_stencil(grid, target_list):
-    """The StencilOperator of a sequence of (K, N) target arrays, one per
-    direction, built one direction at a time and column-major: each axis's
-    steps run on a contiguous (K,) row of the (N, K) coordinates."""
+    """Every flow stencil of a sequence of (K, N) target arrays, one per
+    direction, as one CSR matrix over the grid's nodes.
+
+    Row d*K + k reads direction d's target k, clamped coordinate-wise to the
+    box: the convex multilinear weights of the corners of its cell, exact
+    zeros dropped, int32 indices.  Built one direction at a time and
+    column-major: each axis's steps run on a contiguous (K,) row of the
+    (N, K) coordinates."""
     lo, hi = np.array(grid.box).T
     spacings = grid.spacings
     N = grid.ndim
@@ -162,7 +150,6 @@ def build_stencil(grid, target_list):
 
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     indptr = indptr.astype(np.int32 if indptr[-1] < 2 ** 31 else np.int64)
-    matrix = scipy.sparse.csr_array(
+    return scipy.sparse.csr_array(
         (np.concatenate(data), np.concatenate(indices), indptr),
         shape=(len(indptr) - 1, grid.node_count))
-    return StencilOperator(matrix, len(counts))

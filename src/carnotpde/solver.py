@@ -18,22 +18,21 @@ negative raising a neighbor can lower the update, and an ordered pair can
 cross (ROADMAP item 1, a monotone update for every h).
 
 A ``Scheme`` is the data-free geometry of one (group, grid, delta, direction
-set): its stencil operator (``grid.StencilOperator``), whose rows read grid
-nodes only; its first D rows are the direction set and its last 2 n1 the
-+-e_i of the central-difference gradient.  Its arrays depend on a content key
-only (the group's layers and structure constants, box, cells, delta,
-direction count and node subset), which a solve checks a given ``scheme``
-against.  The module holds the most recent geometry, read-only, so successive
-Schemes of equal content share one build: problems that differ only in
-horizon, h or data (the pairs of a comparison block, the h of an h-limit
-sweep, the experiments of one ``verify``).  A new key drops the held geometry
-before its own build, so the module never holds two.  A ``Binding`` is one
-field's data on it (psi, g, h) and the envelope of every data value read.
-``march`` advances a (B, nodes) ``Stack`` of bound fields one step at a time.
-A step applies the operator to each field's (nodes,) row on its own, and
-that apply's gradient rows give both the field's speed and its CFL step;
-one min and one max of each updated row then check that it is finite and
-inside its data envelope.  Every solve and experiment runs on it.
+set): its stencil matrix (``grid.build_stencil``), whose rows read grid
+nodes only, read by its one ``apply``, whose first D rows are the direction
+set and last 2 n1 the +-e_i of the central-difference gradient.  Its arrays
+depend on a content key only (the group's layers and structure constants,
+box, cells, delta, direction count and node subset), which a solve checks a
+given ``scheme`` against.  The module holds the most recent geometry,
+read-only, so successive Schemes of equal content share one build: problems
+that differ only in horizon, h or data (the pairs of a comparison block, the
+h of an h-limit sweep, the experiments of one ``verify``).  A new key drops
+the held geometry before its own build, so the module never holds two.  A
+``Binding`` is one field's data on it (psi, g, h) and the envelope of every
+data value read.  ``march`` advances a (B, nodes) ``Stack`` of bound fields
+one step at a time: ``Scheme.discrete_operator`` applies the stencil to each
+field's row, whose gradient rows give its speed and CFL step, and one min
+and max of each updated row check that it is finite and in its envelope.
 
 ``solve_elliptic_steady`` finds the fixed point of the same max + min map by
 policy iteration (one sparse linear solve per switch of each node's argmax
@@ -71,8 +70,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl_factor <= 1.0:
             raise ValueError("cfl_factor must lie in (0, 1]")
-        if not 4 <= self.direction_samples < np.inf:
-            raise ValueError("direction_samples must be a finite count of at least 4")
+        if not (4 <= self.direction_samples < np.inf and self.direction_samples % 2 == 0):
+            raise ValueError("direction_samples must be a finite even count of at least 4")
         for name in ("steady_tolerance", "stencil_radius"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < np.inf:
@@ -155,44 +154,39 @@ def _content_key(problem, config, subset):
 
 
 def _geometry(G, grid, delta, samples, subset):
-    """The data-free arrays of a Scheme, frozen read-only; a subset's matrix
-    columns are numbered over its node set."""
-    if subset is None:
-        lateral = grid.lateral_mask()
-        coords = grid.coords()
-        interior_flat = np.nonzero(~lateral)[0]
-        coords_interior = coords[interior_flat]
+    """The data-free arrays of a Scheme over the interior nodes ``subset``
+    (all when None), frozen read-only; its nodes and matrix columns are every
+    node, or the subset and the nodes its rows read."""
+    full = subset is None
+    if full:
+        subset = np.nonzero(~grid.lateral_mask())[0]
     elif grid.lateral_mask(subset).any():
         raise ValueError("node subset must lie off the parabolic boundary")
-    else:
-        coords_interior = grid.coords(subset)
     n1 = G.horizontal_dim
     kappa = direction_set(n1, samples)
     axes = np.eye(n1).repeat(2, axis=0) * np.resize([1.0, -1.0], (2 * n1, 1))
     is_axis = (kappa[:, None, :] == axes[None]).all(axis=2).any(axis=1)
-    # Operator rows: the directions other than +-e_i, then +e1, -e1, +e2,
+    # Stencil rows: the directions other than +-e_i, then +e1, -e1, +e2,
     # ... in that order.  The +-e_i a direction set holds lead that order,
     # so max + min reads the first D rows and the gradient the last 2 n1.
     directions = np.concatenate([kappa[~is_axis], axes])
-    operator = build_stencil(grid, (
-        groups.multiply(G, coords_interior, groups.embed_horizontal(G, delta * d))
+    origins = grid.coords(subset)
+    M = build_stencil(grid, (
+        groups.multiply(G, origins, groups.embed_horizontal(G, delta * d))
         for d in directions))
-    if subset is not None:
-        M = operator.matrix
-        nodes = np.union1d(subset, M.indices)
-        # searchsorted is increasing, so each row keeps its stored order
-        operator.matrix = scipy.sparse.csr_array(
-            (M.data, np.searchsorted(nodes, M.indices).astype(np.int32), M.indptr),
-            shape=(M.shape[0], len(nodes)))
-        lateral, coords = grid.lateral_mask(nodes), grid.coords(nodes)
-        interior_flat = np.searchsorted(nodes, subset)
+    nodes = np.arange(grid.node_count) if full else np.union1d(subset, M.indices)
+    # the renumbering is increasing, so each row keeps its stored order
+    column = np.zeros(grid.node_count, np.int32)
+    column[nodes] = np.arange(len(nodes))
+    matrix = scipy.sparse.csr_array((M.data, column[M.indices], M.indptr),
+                                    shape=(M.shape[0], len(nodes)))
+    lateral, coords = grid.lateral_mask(nodes), grid.coords(nodes)
     geometry = dict(delta=delta, lateral=lateral, coords=coords,
-                    interior_flat=interior_flat, coords_interior=coords_interior,
+                    interior_flat=np.searchsorted(nodes, subset),
                     coords_lateral=coords[lateral], directions=directions,
                     n_kappa=len(kappa), _grad_start=len(kappa) - int(is_axis.sum()),
-                    operator=operator)
-    M = operator.matrix
-    for a in (*geometry.values(), M.data, M.indices, M.indptr):
+                    matrix=matrix)
+    for a in (*geometry.values(), matrix.data, matrix.indices, matrix.indptr):
         if isinstance(a, np.ndarray):
             a.setflags(write=False)
     return geometry
@@ -232,6 +226,10 @@ class Scheme:
                              "stencil radius, direction count or node subset")
         return scheme
 
+    def apply(self, u):
+        """One field's values at every flow target, shape (directions, K)."""
+        return (self.matrix @ u).reshape(len(self.directions), -1)
+
     def gradient(self, W):
         """Central differences along the layer-1 axes from the +-e_i rows of
         one field's apply: one (K,) array per axis."""
@@ -245,28 +243,25 @@ class Scheme:
         W, u = W[:self.n_kappa], u[self.interior_flat]
         return (W.max(axis=0) + W.min(axis=0) - 2.0 * u) / self.delta ** 2
 
-    def discrete_operator(self, U, fields, cfl_factor=1.0):
-        """Speed times median curvature, one (K,) row per field of the stack
-        U, and the step each field's speed allows, cfl_factor delta^2 /
-        (2 max(1, |grad|^(h-1))), from one apply per field."""
-        ops, steps = [], []
-        for u, f in zip(U, fields):
-            W = self.operator.apply(u)
-            op, cap = self.kappa(u, W), 1.0
-            if f.h != 1.0:
-                grad = _norm(self.gradient(W))
-                op *= grad ** (f.h - 1.0)
-                cap = max(1.0, float(grad.max()) ** (f.h - 1.0))
-            ops.append(op)
-            steps.append(cfl_factor * self.delta ** 2 / (2.0 * cap))
-        return ops, steps
+    def discrete_operator(self, u, h, cfl_factor=1.0):
+        """Speed times median curvature of one field's (nodes,) values u at
+        exponent h, shape (K,), and the step its speed allows, cfl_factor
+        delta^2 / (2 max(1, |grad|^(h-1))), from one apply."""
+        W = self.apply(u)
+        op, cap = self.kappa(u, W), 1.0
+        if h != 1.0:
+            grad = _norm(self.gradient(W))
+            op *= grad ** (h - 1.0)
+            cap = max(1.0, float(grad.max()) ** (h - 1.0))
+        return op, cfl_factor * self.delta ** 2 / (2.0 * cap)
 
     def step(self, stack, config, t_stop=np.inf):
         """One explicit Euler step of a stack on this geometry, in place.  dt
         is the smallest CFL step of the stack, trimmed to land on t_stop.  A
         non-finite value after the update raises SolverError; a row outside
         its data envelope clears ``stack.max_principle_ok``."""
-        ops, stack.cfl = self.discrete_operator(stack.U, stack.fields, config.cfl_factor)
+        ops, stack.cfl = zip(*[self.discrete_operator(u, f.h, config.cfl_factor)
+                               for u, f in zip(stack.U, stack.fields)])
         stack.dt = min(min(stack.cfl), t_stop - stack.t)
         stack.t += stack.dt
         stack.steps += 1
@@ -338,10 +333,6 @@ class Stack:
         """The one-field stack of a problem at its initial data."""
         return cls([Binding(scheme, problem.psi, problem.g, problem.h)])
 
-    def cfl_dt(self, config):
-        """Each field's CFL step at the stack's current values."""
-        return self.scheme.discrete_operator(self.U, self.fields, config.cfl_factor)[1]
-
 
 def march(stack, config, stops=None):
     """Advance ``stack`` on its geometry, yielding it after every step.
@@ -397,7 +388,7 @@ def solve_parabolic(problem, config=None, snapshot_times=None, scheme=None):
     """
     config = config or SolverConfig()
     grid = problem.grid
-    times = sorted(snapshot_times) if snapshot_times else [grid.horizon]
+    times = sorted(() if snapshot_times is None else snapshot_times) or [grid.horizon]
     if not np.isfinite(times).all():
         raise ValueError(f"snapshot_times must be finite, got {times}")
     if times[0] < 0.0:
@@ -464,7 +455,7 @@ def solve_elliptic_steady(problem, config=None, scheme=None):
     round_off = 64.0 * np.finfo(float).eps * max(-field.data_min, field.data_max)
     policy, phi, seen, r_prev = None, None, set(), np.inf
     for _ in range(MAX_STEPS):
-        W = scheme.operator.apply(u)[:scheme.n_kappa]
+        W = scheme.apply(u)[:scheme.n_kappa]
         a, b = W.argmax(axis=0), W.argmin(axis=0)
         res = 0.5 * (W.max(axis=0) + W.min(axis=0)) - u[I]
         r = float(np.abs(res).max())
@@ -497,7 +488,7 @@ def _policy_system(scheme, a, b):
     each node's directions a and b, restricted to the interior columns."""
     K = len(scheme.interior_flat)
     k = np.arange(K)
-    M = scheme.operator.matrix
+    M = scheme.matrix
     A = (0.5 * (M[a * K + k] + M[b * K + k]))[:, scheme.interior_flat]
     return lambda x: x - A @ x
 
@@ -531,7 +522,7 @@ def _bicgstab(matvec, rhs, rtol):
 
 def _sweep(scheme, u):
     """T(u) = (max + min of the flow neighbors) / 2 on the interior."""
-    W = scheme.operator.apply(u)[:scheme.n_kappa]
+    W = scheme.apply(u)[:scheme.n_kappa]
     return 0.5 * (W.max(axis=0) + W.min(axis=0))
 
 

@@ -311,6 +311,11 @@ def test_bad_config_exits_one(tmp_path, capsys):
     ("box", {"box": [[0, float("inf")]]}, "box bounds must be finite"),
     ("snapshot_times", {"snapshot_times": [float("nan")]},
      "snapshot_times must be finite"),
+    # malformed: unchecked, each ends in an uncaught TypeError
+    ("snapshot_times", {"snapshot_times": 0.005}, "must be of type list"),
+    ("box", {"box": [0, 1]}, "[lo, hi] pair per axis"),
+    ("T", {"T": None}, "must be of type float"),
+    ("output_dir", {"output_dir": 3}, "must be of type str"),
 ])
 def test_non_finite_settings_exit_one_naming_their_key(
         tmp_path, capsys, monkeypatch, key, overrides, message):

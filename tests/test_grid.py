@@ -35,6 +35,11 @@ def test_grid_spec_validation():
     for box in (((0, np.inf),), ((-np.inf, 1),), ((0, np.nan),)):
         with pytest.raises(ValueError, match="box bounds must be finite"):
             GridSpec(box=box, cells=(4,))
+    # truncated, 16.7 cells would silently become 16
+    for cells in ((16.7,), (np.inf,), (np.nan,)):
+        with pytest.raises(ValueError, match="cells must be integers"):
+            GridSpec(box=((0, 1),), cells=cells)
+    assert GridSpec(box=((0, 1),), cells=(16.0,)).cells == (16,)
 
 
 def test_grid_geometry(square):
@@ -88,9 +93,9 @@ def test_grid_function_validation(square):
 def test_stencil_exact_on_grid_nodes(square):
     coords = square.coords()
     values = coords[:, 0] + 3.0 * coords[:, 1]
-    op = build_stencil(square, [coords[[7, 20, 33]]])
-    assert np.allclose(op.apply(values)[0], values[[7, 20, 33]])
-    assert op.matrix.indices.dtype == np.int32
+    A = build_stencil(square, [coords[[7, 20, 33]]])
+    assert np.allclose(A @ values, values[[7, 20, 33]])
+    assert A.indices.dtype == np.int32
 
 
 def test_stencil_exact_for_multilinear_functions(square):
@@ -99,30 +104,30 @@ def test_stencil_exact_for_multilinear_functions(square):
     values = 1.0 + 2.0 * coords[:, 0] - coords[:, 1] + 0.5 * np.prod(coords, axis=1)
     rng = np.random.default_rng(0)
     targets = rng.uniform((0, 0), (1, 2), size=(40, 2))
-    op = build_stencil(square, [targets])
+    A = build_stencil(square, [targets])
     expect = 1.0 + 2.0 * targets[:, 0] - targets[:, 1] + 0.5 * np.prod(targets, axis=1)
-    assert np.abs(op.apply(values)[0] - expect).max() <= 1e-12
+    assert np.abs(A @ values - expect).max() <= 1e-12
 
 
 def test_stencil_weights_are_convex(square):
     rng = np.random.default_rng(1)
     targets = rng.uniform((0, 0), (1, 2), size=(25, 2))
-    op = build_stencil(square, [targets])
-    assert (op.matrix.data >= -1e-15).all()
-    assert np.allclose(op.matrix.sum(axis=1), 1.0)
+    A = build_stencil(square, [targets])
+    assert (A.data >= -1e-15).all()
+    assert np.allclose(A.sum(axis=1), 1.0)
 
 
 def test_off_box_targets_use_clamped_datum(square):
     # an off-box target is clamped to the box and reads the boundary nodes
     # around the clamped point, so a bilinear nodal function is read exactly
     targets = np.array([[-0.5, 1.0], [0.5, 2.7]])
-    op = build_stencil(square, [targets])
+    A = build_stencil(square, [targets])
     coords = square.coords()
     values = 7.0 + coords[:, 0] - 3.0 * coords[:, 1] + 2.0 * np.prod(coords, axis=1)
     clamped = np.array([[0.0, 1.0], [0.5, 2.0]])
     expect = 7.0 + clamped[:, 0] - 3.0 * clamped[:, 1] + 2.0 * np.prod(clamped, axis=1)
-    assert np.abs(op.apply(values)[0] - expect).max() <= 1e-14
-    assert set(op.matrix.indices) <= set(np.nonzero(square.lateral_mask())[0])
+    assert np.abs(A @ values - expect).max() <= 1e-14
+    assert set(A.indices) <= set(np.nonzero(square.lateral_mask())[0])
 
 
 def test_stencil_bank_matches_individual_stencils(square):
@@ -130,21 +135,22 @@ def test_stencil_bank_matches_individual_stencils(square):
     values = np.cos(coords[:, 0]) + coords[:, 1] ** 2
     rng = np.random.default_rng(2)
     target_list = [rng.uniform((0, 0), (1, 2), size=(45, 2)) for _ in range(3)]
-    op = build_stencil(square, target_list)
-    batch = op.apply(values)
+    A = build_stencil(square, target_list)
+    # row d*K + k is direction d's target k
+    batch = (A @ values).reshape(len(target_list), -1)
     for d, targets in enumerate(target_list):
-        single = build_stencil(square, [targets]).apply(values)[0]
+        single = build_stencil(square, [targets]) @ values
         assert np.allclose(batch[d], single)
     # each field of a (B, nodes) stack applies as its own row, bit for bit
-    stack = [op.apply(row) for row in np.stack([values, 2.0 * values - 1.0])]
-    assert np.array_equal(stack[0], batch)
-    assert np.array_equal(stack[1], op.apply(2.0 * values - 1.0))
+    U = np.stack([values, 2.0 * values - 1.0])
+    for row, column in zip(U, (A @ U.T).T):
+        assert np.array_equal(A @ row, column)
 
 
 @given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_operator_rows_are_convex_combinations_or_datum(ndim, seed):
-    # every update must stay a convex combination of stencil values, off-box
+def test_operator_rows_are_convex_combinations_of_grid_nodes(ndim, seed):
+    # every update must stay a convex combination of grid node values, off-box
     # targets included: the exact comparison and maximum principles rest on it
     rng = np.random.default_rng(seed)
     lo = rng.uniform(-3.0, 3.0, ndim)
@@ -155,13 +161,13 @@ def test_operator_rows_are_convex_combinations_or_datum(ndim, seed):
     target_list = [rng.uniform(lo - 0.3 * width, lo + 1.3 * width, (30, ndim)),
                    nodes, np.clip(nodes + rng.normal(0.0, 0.1, nodes.shape) * width,
                                   lo, lo + width)]
-    op = build_stencil(grid, target_list)
-    A = op.matrix
+    A = build_stencil(grid, target_list)
     assert (A.data >= 0.0).all()
+    assert np.diff(A.indptr).min() >= 1
     assert np.abs(A.sum(axis=1) - 1.0).max() <= 1e-15
 
 
-# SHA-256 of (dtype, shape, bytes) of each StencilOperator array, recorded
+# SHA-256 of (dtype, shape, bytes) of each stencil matrix array, recorded
 # from the row-major build that the column-major one replaced: every weight
 # and index must come out bit for bit the same.  plane_r03's radius sends
 # targets off the box; its arrays were re-recorded when those rows began to
@@ -200,9 +206,8 @@ def operator_digests(name):
     G, box, cells, config = GEOMETRIES[name]
     f = ScalarField.from_expression("x1", G.total_dim)
     problem = CauchyDirichletProblem(G, GridSpec(box=box, cells=cells), 2.0, f, f)
-    op = Scheme(problem, SolverConfig(**config)).operator
-    arrays = {"data": op.matrix.data, "indices": op.matrix.indices,
-              "indptr": op.matrix.indptr}
+    M = Scheme(problem, SolverConfig(**config)).matrix
+    arrays = {"data": M.data, "indices": M.indices, "indptr": M.indptr}
     return {part: hashlib.sha256(f"{a.dtype.str}{a.shape}".encode()
                                  + np.ascontiguousarray(a).tobytes()).hexdigest()
             for part, a in arrays.items()}
@@ -221,11 +226,12 @@ def test_stack_apply_is_one_csr_matvecs_bit_for_bit(name, B):
     G, box, cells, config = GEOMETRIES[name]
     f = ScalarField.from_expression("x1", G.total_dim)
     problem = CauchyDirichletProblem(G, GridSpec(box=box, cells=cells), 2.0, f, f)
-    op = Scheme(problem, SolverConfig(**config)).operator
+    scheme = Scheme(problem, SolverConfig(**config))
+    M, D = scheme.matrix, len(scheme.directions)
     rng = np.random.default_rng(B)
-    U = rng.uniform(-1.0, 1.0, (B, op.matrix.shape[1]))
-    expected = op.matrix @ U.T
+    U = rng.uniform(-1.0, 1.0, (B, M.shape[1]))
+    expected = M @ U.T
     for b, row in enumerate(U):
-        out = op.apply(row)
-        assert out.shape == (op.n_directions, op.matrix.shape[0] // op.n_directions)
+        out = scheme.apply(row)
+        assert out.shape == (D, M.shape[0] // D)
         assert np.array_equal(out.reshape(-1), expected[:, b])

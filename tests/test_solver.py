@@ -45,7 +45,7 @@ def at_node(problem, node, config=None):
     flat = int(np.ravel_multi_index(node, problem.grid.shape))
     scheme = Scheme(problem, config, node_subset=[flat])
     stack = Stack.of(scheme, problem)
-    W = scheme.operator.apply(stack.U[0])
+    W = scheme.apply(stack.U[0])
     return scheme, stack, W
 
 
@@ -83,6 +83,8 @@ def test_solver_config_validation():
     {"stencil_radius": 0.0}, {"stencil_radius": -0.1},
     {"stencil_radius": np.inf}, {"stencil_radius": np.nan},
     {"direction_samples": np.inf},
+    # 16.5 would build 17 directions and 5 would build 5, neither antipodal
+    {"direction_samples": 16.5}, {"direction_samples": 5},
 ])
 def test_settings_that_cannot_take_effect_are_rejected(setting):
     (name, _), = setting.items()
@@ -216,7 +218,7 @@ def test_discrete_operator_oracles():
 
     def operator_at(problem, node):
         scheme, stack, _ = at_node(problem, node, config)
-        return float(scheme.discrete_operator(stack.U, stack.fields)[0][0][0])
+        return float(scheme.discrete_operator(stack.U[0], problem.h)[0][0])
 
     flat = make_problem(euclidean_group(2), ((0, 1), (0, 1)), (8, 8), 3.0, "5")
     assert operator_at(flat, (4, 4)) == 0.0
@@ -234,7 +236,9 @@ def test_cfl_values():
     config = SolverConfig(cfl_factor=0.5)
 
     def cfl_dt(problem):
-        return Stack.of(Scheme(problem, config), problem).cfl_dt(config)[0]
+        scheme = Scheme(problem, config)
+        u = Stack.of(scheme, problem).U[0]
+        return scheme.discrete_operator(u, problem.h, config.cfl_factor)[1]
 
     h1 = make_problem(euclidean_group(1), ((0, 1),), (8,), 1.0, "x1")
     delta = h1.grid.delta
@@ -252,14 +256,12 @@ def test_node_subset_matches_full_evaluation():
                         "x1**2 - x2*x3")
     config = SolverConfig()
     full = Scheme(prob, config)
-    u = prob.psi(full.coords, 0.0)[None]
-    op_full, _ = full.discrete_operator(u, [Binding(full, prob.psi, prob.g, 2.0)])
+    op_full, _ = full.discrete_operator(prob.psi(full.coords, 0.0), 2.0)
     subset = full.interior_flat[[5, 40, 100]]
     part = Scheme(prob, config, node_subset=subset)
     assert len(part.coords) < prob.grid.node_count
-    u = prob.psi(part.coords, 0.0)[None]
-    op_part, _ = part.discrete_operator(u, [Binding(part, prob.psi, prob.g, 2.0)])
-    assert np.array_equal(op_part[0], op_full[0][[5, 40, 100]])
+    op_part, _ = part.discrete_operator(prob.psi(part.coords, 0.0), 2.0)
+    assert np.array_equal(op_part, op_full[[5, 40, 100]])
 
 
 # -- the geometry cache ----------------------------------------------
@@ -283,12 +285,12 @@ def test_schemes_of_equal_content_share_one_geometry():
     ]
     for problem, config in same:
         scheme = Scheme(problem, config)
-        assert scheme.operator is first.operator
+        assert scheme.matrix is first.matrix
         assert scheme.coords is first.coords
         assert scheme.interior_flat is first.interior_flat
     subset = first.interior_flat[[0, 7]]
-    assert Scheme(base, node_subset=subset).operator is Scheme(
-        base, node_subset=list(subset)).operator
+    assert Scheme(base, node_subset=subset).matrix is Scheme(
+        base, node_subset=list(subset)).matrix
 
 
 def test_schemes_of_other_content_build_their_own_geometry():
@@ -305,20 +307,18 @@ def test_schemes_of_other_content_build_their_own_geometry():
     ]
     for problem, config, subset in other:
         # the base geometry is the most recently used one when each is asked for
-        held = Scheme(base).operator
-        fresh = Scheme(problem, config, node_subset=subset).operator
+        held = Scheme(base).matrix
+        fresh = Scheme(problem, config, node_subset=subset).matrix
         assert fresh is not held
-        assert not (fresh.matrix.shape == held.matrix.shape
-                    and (fresh.matrix != held.matrix).nnz == 0)
+        assert not (fresh.shape == held.shape and (fresh != held).nnz == 0)
 
 
 def test_cached_geometry_is_read_only():
     prob = make_problem(heisenberg_group(), _CUBE, (4, 4, 4), 2.0, "x1*x2")
     scheme = Scheme(prob, SolverConfig(stencil_radius=0.75))
-    op = scheme.operator
+    M = scheme.matrix
     arrays = [scheme.lateral, scheme.coords, scheme.interior_flat,
-              scheme.coords_interior, scheme.coords_lateral, scheme.directions,
-              op.matrix.data, op.matrix.indices, op.matrix.indptr]
+              scheme.coords_lateral, scheme.directions, M.data, M.indices, M.indptr]
     for a in arrays:
         assert a.size
         with pytest.raises(ValueError, match="read-only"):
@@ -327,13 +327,13 @@ def test_cached_geometry_is_read_only():
 
 def test_a_new_geometry_replaces_the_held_one():
     base = make_problem(heisenberg_group(), _CUBE, (4, 4, 4), 2.0, "x1*x2")
-    first = Scheme(base).operator
-    assert Scheme(base).operator is first
+    first = Scheme(base).matrix
+    assert Scheme(base).matrix is first
     Scheme(base, SolverConfig(direction_samples=20))
-    again = Scheme(base).operator
+    again = Scheme(base).matrix
     assert again is not first
     for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(again.matrix, name), getattr(first.matrix, name))
+        assert np.array_equal(getattr(again, name), getattr(first, name))
 
 
 def test_a_new_geometry_is_built_after_the_held_one_is_dropped():
@@ -352,9 +352,8 @@ def test_a_new_geometry_is_built_after_the_held_one_is_dropped():
         "def peak():\n"
         "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
         "s = scheme(-1.0)\n"
-        "M = s.operator.matrix\n"
-        "held = sum(a.nbytes for a in (s.coords, s.coords_interior, M.data,\n"
-        "                              M.indices, M.indptr))\n"
+        "M = s.matrix\n"
+        "held = sum(a.nbytes for a in (s.coords, M.data, M.indices, M.indptr))\n"
         "del s, M\n"
         "first = peak()\n"
         "scheme(0.0)\n"
@@ -487,7 +486,7 @@ def _reference_step(scheme, stack, config):
     the smallest CFL step, then g at the lateral nodes.  (U, t, dt, cfl)."""
     U, I = stack.U.copy(), scheme.interior_flat
     D, n1 = scheme.directions.shape
-    W = (scheme.operator.matrix @ U.T).reshape(D, len(I), len(U))
+    W = (scheme.matrix @ U.T).reshape(D, len(I), len(U))
     kappa = W[:scheme.n_kappa]
     op = (kappa.max(axis=0) + kappa.min(axis=0) - 2.0 * U[:, I].T) / scheme.delta ** 2
     axes = [(W[i] - W[i + 1]) / (2.0 * scheme.delta) for i in range(D - 2 * n1, D, 2)]
@@ -595,7 +594,7 @@ def test_a_step_outside_the_data_envelope_clears_max_principle_ok(monkeypatch):
     assert next(steps).max_principle_ok
     operator = scheme.discrete_operator
     monkeypatch.setattr(scheme, "discrete_operator", lambda *args: (
-        [100.0 * op for op in operator(*args)[0]], operator(*args)[1]))
+        100.0 * operator(*args)[0], operator(*args)[1]))
     assert not next(steps).max_principle_ok
     monkeypatch.undo()
     assert not next(steps).max_principle_ok
@@ -612,6 +611,23 @@ def test_snapshot_times_are_hit_exactly():
         [0.0, 0.03, 0.1], abs=1e-12)
     with pytest.raises(ValueError, match="horizon"):
         solve_parabolic(prob, SolverConfig(), snapshot_times=[0.2])
+
+
+def test_snapshot_times_may_be_any_sequence():
+    # an array of times must give the list's snapshots bit for bit; None or
+    # an empty sequence means one snapshot at the horizon
+    prob = make_problem(euclidean_group(1), ((0, 1),), (16,), 2.0, "x1**2",
+                        horizon=0.1)
+    listed = solve_parabolic(prob, snapshot_times=[0.01, 0.005])
+    arrayed = solve_parabolic(prob, snapshot_times=np.array([0.01, 0.005]))
+    assert [s.time_level for s in listed.snapshots] == pytest.approx([0.005, 0.01],
+                                                                     abs=1e-12)
+    for a, b in zip(listed.snapshots, arrayed.snapshots, strict=True):
+        assert a.time_level == b.time_level
+        assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
+    for empty in (None, [], np.array([])):
+        result = solve_parabolic(prob, snapshot_times=empty)
+        assert [s.time_level for s in result.snapshots] == [0.1]
 
 
 def test_march_stops_at_the_last_snapshot_time():
@@ -674,7 +690,7 @@ def _swept_bracket(prob, config):
         if (hi - lo).max() < 1e-10:
             break
         for u in (lo, hi):
-            W = scheme.operator.apply(u)[:scheme.n_kappa]
+            W = scheme.apply(u)[:scheme.n_kappa]
             u[interior] = 0.5 * (W.max(axis=0) + W.min(axis=0))
     return lo, hi
 
@@ -812,10 +828,10 @@ def test_stack_march_matches_each_field_marched_alone(name, seed, n_fields, wide
         for b, single in enumerate(alone):
             # each field alone steps the stack's dt, which its own CFL step
             # cannot be below
-            cfl = single.cfl_dt(config)[0]
+            cfl = operator(single.U[0], single.fields[0].h, config.cfl_factor)[1]
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(scheme, "discrete_operator", lambda *args: (
-                    operator(*args)[0], [stack.dt]))
+                    operator(*args)[0], stack.dt))
                 scheme.step(single, config)
             assert single.t == stack.t
             assert np.array_equal(single.U[0], stack.U[b])

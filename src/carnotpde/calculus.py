@@ -1,5 +1,7 @@
 """Horizontal frames, derivatives, jet twisting and the doubling penalty.
 
+The frame rows of the first two layers at a point are one array (A, B: views).
+
 Two independent computation routes are kept deliberately separate:
 
 * the twist route converts a Euclidean jet with the frame matrices and the
@@ -61,20 +63,15 @@ class PenaltySpec:
 # -- frames ----------------------------------------------------------
 
 
-def _basis_columns(G):
-    n1 = G.horizontal_dim
-    n2 = int(G.layer_dims[1]) if G.step >= 2 else 0
-    return n1, n2
+def frame_rows(G, p):
+    """Left-invariant frame vectors a_i(p) = e_i + [p,e_i]/2 + [p,[p,e_i]]/12
+    of the basis vectors e_i of the first two layers.
 
-
-def frame_rows(G, p, indices):
-    """Left-invariant frame vectors a_i(p) = e_i + [p,e_i]/2 + [p,[p,e_i]]/12.
-
-    ``p`` may carry leading axes; returns shape p.shape[:-1] + (len(indices), N).
+    ``p`` may carry leading axes; returns shape p.shape[:-1] + (n1 + n2, N).
     """
     p = np.asarray(p, dtype=float)
     rows = []
-    for i in indices:
+    for i in range(sum(G.layer_dims[:2])):
         e = np.zeros(G.total_dim)
         e[i] = 1.0
         b = groups.bracket(G, p, e)
@@ -86,14 +83,10 @@ def frame_rows(G, p, indices):
 
 
 def frame_at(G, p):
-    """Horizontal frame matrices at a point."""
-    n1, n2 = _basis_columns(G)
-    A = frame_rows(G, p, range(n1))
-    if n2:
-        B = frame_rows(G, p, range(n1, n1 + n2))
-    else:
-        B = np.zeros(np.asarray(p, dtype=float).shape[:-1] + (0, G.total_dim))
-    return HorizontalFrame(A=A, B=B)
+    """Horizontal frame matrices at a point: views of one ``frame_rows``
+    array, its layer-1 rows and its layer-2 rows (none at step 1)."""
+    rows, n1 = frame_rows(G, p), G.horizontal_dim
+    return HorizontalFrame(A=rows[..., :n1, :], B=rows[..., n1:, :])
 
 
 def frame_partials(G, p):
@@ -160,20 +153,12 @@ def symbolic_frame(G):
 
 def horizontal_gradient(G, f, p, t=0.0):
     """Gradient along the layer-1 frame: A(p) . (Euclidean gradient)."""
-    frame = frame_at(G, p)
-    grad = f.euclidean_gradient(p, t)
-    return np.einsum("...ij,...j->...i", frame.A, grad)
+    return semi_horizontal_gradient(G, f, p, t)[..., :G.horizontal_dim]
 
 
 def semi_horizontal_gradient(G, f, p, t=0.0):
-    """Layer-1 and layer-2 frame derivatives concatenated."""
-    frame = frame_at(G, p)
-    grad = f.euclidean_gradient(p, t)
-    top = np.einsum("...ij,...j->...i", frame.A, grad)
-    if frame.B.shape[-2]:
-        bottom = np.einsum("...ij,...j->...i", frame.B, grad)
-        return np.concatenate([top, bottom], axis=-1)
-    return top
+    """Derivatives along the layer-1 and layer-2 frame rows, in that order."""
+    return np.einsum("...ij,...j->...i", frame_rows(G, p), f.euclidean_gradient(p, t))
 
 
 def symmetrized_hessian(G, f, p, t=0.0):
@@ -211,16 +196,15 @@ def twist_jet(G, p, a, eta, X):
     N = G.total_dim
     if eta.shape != (N,) or X.shape != (N, N):
         raise ValueError("euclidean jet has wrong dimensions")
-    if not np.allclose(X, X.T, atol=0.0):
-        raise ValueError("euclidean Hessian block must be symmetric")
+    if not np.array_equal(X, X.T):
+        raise ValueError("euclidean Hessian block must be exactly symmetric")
     frame = frame_at(G, p)
     dA = frame_partials(G, p)
     # T_ij = sum_{l,k} a_il (d a_jk / d x_l) eta_k
     E = np.einsum("lik,k->li", dA, eta)          # (N, n1)
     T = frame.A @ E                              # (n1, n1)
     M = 0.5 * (T + T.T)
-    top = frame.A @ eta
-    eta_out = np.concatenate([top, frame.B @ eta]) if frame.B.shape[0] else top
+    eta_out = np.concatenate([frame.A @ eta, frame.B @ eta])
     X_out = frame.A @ X @ frame.A.T + M
     X_out = 0.5 * (X_out + X_out.T)  # kill asymmetric rounding
     return Jet(a=float(a), eta=eta_out, X=X_out)

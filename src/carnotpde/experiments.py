@@ -96,14 +96,15 @@ def comparison_experiment(problem, config, u0, v0):
     elapsed = _timer()
     grid = problem.grid
     scheme = Scheme(problem, config)
-
-    coords = scheme.coords
-    gap0 = float((u0(coords, 0.0) - v0(coords, 0.0)).max())
-    if gap0 > 1e-12:
+    stack = Stack([Binding(scheme, u0, u0, problem.h),
+                   Binding(scheme, v0, v0, problem.h)])
+    gap = stack.U[0] - stack.U[1]
+    worst, worst_at = float(gap.max()), (int(np.argmax(gap)), 0.0)
+    if worst > 1e-12:
         raise PreconditionError(
-            f"initial data are not ordered: max(u0 - v0) = {gap0:.3e} > 0")
-    # gap0 covers the lateral nodes at t = 0; their data can change with t
-    # only when a field names it
+            f"initial data are not ordered: max(u0 - v0) = {worst:.3e} > 0")
+    # the stack's rows cover the lateral nodes at t = 0; their data can
+    # change with t only when a field names it
     if u0.time_dependent or v0.time_dependent:
         for t in np.linspace(0.0, grid.horizon, 9)[1:]:
             bgap = float((u0(scheme.coords_lateral, t)
@@ -111,11 +112,6 @@ def comparison_experiment(problem, config, u0, v0):
             if bgap > 1e-12:
                 raise PreconditionError(
                     f"boundary data are not ordered at t={t:.3g}: gap {bgap:.3e}")
-
-    stack = Stack([Binding(scheme, u0, u0, problem.h),
-                   Binding(scheme, v0, v0, problem.h)])
-    gap = stack.U[0] - stack.U[1]
-    worst, worst_at = float(gap.max()), (int(np.argmax(gap)), 0.0)
     for _ in march(stack, config, [grid.horizon]):
         gap = stack.U[0] - stack.U[1]
         if gap.max() > worst:

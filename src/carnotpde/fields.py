@@ -7,9 +7,9 @@ float64, and builds its sympy expression only on the first read of
 ``expr``.  Every derivative (gradient, Hessian, time slope and the calculus
 module's horizontal Hessian) is exact and goes through
 ``ScalarField.derivative``, which lambdifies the derivative's sympy entries
-once per key, each float literal printed as the double it holds.  ``scale``,
-``shift`` and ``+`` combine the operands' functions and expressions the same
-way.
+once per key, each float literal printed as the double it holds.  ``+`` (a
+field or a number) and ``*`` (a number) combine the operands' functions and
+expressions the same way.
 """
 
 from __future__ import annotations
@@ -108,26 +108,21 @@ class ScalarField:
         return ScalarField(fn, self.dim, make_expr,
                            any(f.time_dependent for f in operands))
 
-    def scale(self, factor):
-        fn = self._fn
-        return self._combine(lambda c, t: factor * np.asarray(fn(c, t), dtype=float),
-                             lambda: self.expr * sympy.Number(factor))
-
-    def shift(self, offset):
-        fn = self._fn
-        return self._combine(lambda c, t: np.asarray(fn(c, t), dtype=float) + offset,
-                             lambda: self.expr + sympy.Number(offset))
-
     def __add__(self, other):
+        f = self._fn
         if not isinstance(other, ScalarField):
-            return self.shift(float(other))
-        f, g = self._fn, other._fn
+            offset = float(other)
+            return self._combine(lambda c, t: np.asarray(f(c, t), dtype=float) + offset,
+                                 lambda: self.expr + sympy.Number(offset))
+        g = other._fn
         return self._combine(
             lambda c, t: np.asarray(f(c, t), dtype=float) + np.asarray(g(c, t), dtype=float),
             lambda: self.expr + other.expr, other)
 
     def __mul__(self, factor):
-        return self.scale(float(factor))
+        fn, factor = self._fn, float(factor)
+        return self._combine(lambda c, t: factor * np.asarray(fn(c, t), dtype=float),
+                             lambda: self.expr * sympy.Number(factor))
 
     __rmul__ = __mul__
 

@@ -20,8 +20,8 @@ def infinity_laplacian(h, grad, X):
         raise ValueError("homogeneity exponent h must be >= 1")
     grad = np.asarray(grad, dtype=float)
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != X.shape[1] or not np.allclose(X, X.T, atol=0.0):
-        raise ValueError("Hessian argument must be a symmetric square matrix")
+    if X.ndim != 2 or X.shape[0] != X.shape[1] or not np.array_equal(X, X.T):
+        raise ValueError("Hessian argument must be an exactly symmetric square matrix")
     norm = float(np.linalg.norm(grad))
     if norm == 0.0:
         if h < 3:

@@ -22,17 +22,19 @@ set): its stencil matrix (``grid.build_stencil``), whose rows read grid
 nodes only, read by its one ``apply``, whose first D rows are the direction
 set and last 2 n1 the +-e_i of the central-difference gradient.  Its arrays
 depend on a content key only (the group's layers and structure constants,
-box, cells, delta, direction count and node subset), which a solve checks a
+box, cells, delta, direction set and node subset), which a solve checks a
 given ``scheme`` against.  The module holds the most recent geometry,
 read-only, so successive Schemes of equal content share one build: problems
 that differ only in horizon, h or data (the pairs of a comparison block, the
 h of an h-limit sweep, the experiments of one ``verify``).  A new key drops
 the held geometry before its own build, so the module never holds two.  A
 ``Binding`` is one field's data on it (psi, g, h) and the envelope of every
-data value read.  ``march`` advances a (B, nodes) ``Stack`` of bound fields
-one step at a time: ``Scheme.discrete_operator`` applies the stencil to each
-field's row, whose gradient rows give its speed and CFL step, and one min
-and max of each updated row check that it is finite and in its envelope.
+data value read; it warns where psi and g differ on the lateral nodes, and a
+problem reads no data.  ``march`` advances a (B, nodes) ``Stack`` of bound
+fields one step at a time: ``Scheme.discrete_operator`` applies the stencil
+to each field's row, whose gradient rows give its speed and CFL step, and
+one min and max of each updated row check that it is finite and in its
+envelope.
 
 ``solve_elliptic_steady`` finds the fixed point of the same max + min map by
 policy iteration (one sparse linear solve per switch of each node's argmax
@@ -44,6 +46,7 @@ data extremes, which bracket the fixed point from both sides.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -92,40 +95,37 @@ class CauchyDirichletProblem:
                 f"homogeneity exponent h must be finite and >= 1, got {self.h!r}")
         if self.grid.ndim != self.group.total_dim:
             raise ValueError("grid dimension does not match the group")
-        lateral = self.grid.coords(np.nonzero(self.grid.lateral_mask())[0])
-        gap = np.abs(self.g(lateral, 0.0) - self.psi(lateral, 0.0)).max()
-        if gap > 1e-12:
-            warnings.warn(
-                f"initial and lateral data disagree on the boundary "
-                f"(max gap {gap:.3e}); lateral nodes follow the boundary datum",
-                stacklevel=2)
 
 
+@functools.cache
 def direction_set(n1, samples):
-    """Antipodal unit direction samples in the horizontal layer."""
-    if n1 == 1:
-        return np.array([[1.0], [-1.0]])
+    """Antipodal unit direction samples in the horizontal layer, read-only.
+    ``samples`` counts them for n1 = 2 only; otherwise the set is the +-e_i
+    and the diagonals (+-e_i +- e_j) / sqrt 2, whatever ``samples`` is."""
     if n1 == 2:
         angles = 2.0 * np.pi * np.arange(samples) / samples
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         # snap round-off (cos(pi/2) = 6e-17) so quadrant directions are exact
         snapped = np.round(dirs) + 0.0
-        return np.where(np.abs(dirs - snapped) < 1e-12, snapped, dirs)
-    dirs = []
-    for i in range(n1):
-        for s in (1.0, -1.0):
-            v = np.zeros(n1)
-            v[i] = s
-            dirs.append(v)
-    for i in range(n1):
-        for j in range(i + 1, n1):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    v = np.zeros(n1)
-                    v[i] = si
-                    v[j] = sj
-                    dirs.append(v / np.sqrt(2.0))
-    return np.array(dirs)
+        dirs = np.where(np.abs(dirs - snapped) < 1e-12, snapped, dirs)
+    else:
+        dirs = []
+        for i in range(n1):
+            for s in (1.0, -1.0):
+                v = np.zeros(n1)
+                v[i] = s
+                dirs.append(v)
+        for i in range(n1):
+            for j in range(i + 1, n1):
+                for si in (1.0, -1.0):
+                    for sj in (1.0, -1.0):
+                        v = np.zeros(n1)
+                        v[i] = si
+                        v[j] = sj
+                        dirs.append(v / np.sqrt(2.0))
+        dirs = np.array(dirs)
+    dirs.setflags(write=False)
+    return dirs
 
 
 def _norm(components):
@@ -143,17 +143,19 @@ _held = {}      # the most recent geometry: at most one key and its arrays
 
 def _content_key(problem, config, subset):
     """What a Scheme's geometry depends on: the group's layers and structure
-    constants, box, cells, stencil radius, direction count and node subset."""
+    constants, box, cells, stencil radius, direction set and node subset."""
     G, grid = problem.group, problem.grid
     delta = float(config.stencil_radius if config.stencil_radius is not None
                   else grid.delta)
-    # box by its bytes, so that -0.0 and 0.0 stay apart as in the coordinates
+    # box and directions by their bytes: -0.0 and 0.0 stay apart as in the
+    # coordinates, and direction counts that give one set share its key
     return (G.layer_dims, G.structure.tobytes(), np.array(grid.box).tobytes(),
-            grid.cells, delta, config.direction_samples,
+            grid.cells, delta,
+            direction_set(G.horizontal_dim, config.direction_samples).tobytes(),
             None if subset is None else subset.tobytes())
 
 
-def _geometry(G, grid, delta, samples, subset):
+def _geometry(G, grid, delta, kappa, subset):
     """The data-free arrays of a Scheme over the interior nodes ``subset``
     (all when None), frozen read-only; its nodes and matrix columns are every
     node, or the subset and the nodes its rows read."""
@@ -163,7 +165,6 @@ def _geometry(G, grid, delta, samples, subset):
     elif grid.lateral_mask(subset).any():
         raise ValueError("node subset must lie off the parabolic boundary")
     n1 = G.horizontal_dim
-    kappa = direction_set(n1, samples)
     axes = np.eye(n1).repeat(2, axis=0) * np.resize([1.0, -1.0], (2 * n1, 1))
     is_axis = (kappa[:, None, :] == axes[None]).all(axis=2).any(axis=1)
     # Stencil rows: the directions other than +-e_i, then +e1, -e1, +e2,
@@ -211,7 +212,8 @@ class Scheme:
         if geometry is None:
             _held.clear()       # before the build, so two are never held at once
             geometry = _geometry(problem.group, problem.grid, self.key[4],  # radius
-                                 config.direction_samples, subset)
+                                 direction_set(problem.group.horizontal_dim,
+                                               config.direction_samples), subset)
             _held[self.key] = geometry
         self.__dict__.update(geometry)
 
@@ -304,9 +306,14 @@ class Binding:
         return self._lateral[1]
 
     def initial(self):
-        """psi at every node, g at the lateral ones, at t = 0."""
+        """psi at every node, g at the lateral ones, at t = 0; warns where they differ."""
         values = np.array(self.psi(self.scheme.coords, 0.0), dtype=float)
-        values[self.scheme.lateral] = self.lateral(0.0)
+        lateral = self.lateral(0.0)
+        gap = np.abs(lateral - values[self.scheme.lateral]).max(initial=0.0)
+        if gap > 1e-12:
+            warnings.warn(f"initial and lateral data disagree on the boundary (max gap "
+                          f"{gap:.3e}); lateral nodes follow the boundary datum")
+        values[self.scheme.lateral] = lateral
         return values
 
 

@@ -61,6 +61,58 @@ def test_frame_reduces_to_coordinate_frame_at_origin(G):
         assert np.allclose(frame.B, np.eye(G.total_dim)[n1:n1 + frame.B.shape[0]])
 
 
+def _layer_rows(G, p, indices):
+    """Frame rows e_i + [p,e_i]/2 + [p,[p,e_i]]/12 of the given basis vectors."""
+    rows = []
+    for i in indices:
+        e = np.zeros(G.total_dim)
+        e[i] = 1.0
+        b = groups.bracket(G, p, e)
+        row = e + 0.5 * b
+        if G.step >= 3:
+            row = row + groups.bracket(G, p, b) / 12.0
+        rows.append(row)
+    return np.stack(rows, axis=-2)
+
+
+def _bits(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, np.ascontiguousarray(a).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("G", [
+    euclidean_group(1), euclidean_group(2), heisenberg_group(), engel_group(),
+    groups.make_group((3, 3), [(0, 1, 3, 1.0), (0, 2, 4, 1.0), (1, 2, 5, 1.0)])],
+    ids=lambda G: f"{G.label}{G.layer_dims}")
+def test_one_frame_array_matches_the_layer_by_layer_frame_bit_for_bit(G):
+    # frame, gradients and twisted eta from one array of the first two
+    # layers' rows equal those built from each layer's rows apart
+    N, n1 = G.total_dim, G.horizontal_dim
+    n2 = G.layer_dims[1] if G.step >= 2 else 0
+    f = ScalarField.from_expression(
+        " + ".join(f"{0.3 * (i + 1)!r}*x{i + 1}*x{(i + 1) % N + 1}*x{(i + 2) % N + 1}"
+                   for i in range(N)), N)
+    rng = np.random.default_rng(21)
+    for p in (rng.uniform(-1.5, 1.5, N), rng.uniform(-1.5, 1.5, (7, N))):
+        A = _layer_rows(G, p, range(n1))
+        B = _layer_rows(G, p, range(n1, n1 + n2)) if n2 else np.zeros(p.shape[:-1] + (0, N))
+        grad = f.euclidean_gradient(p)
+        top = np.einsum("...ij,...j->...i", A, grad)
+        semi = (np.concatenate([top, np.einsum("...ij,...j->...i", B, grad)], axis=-1)
+                if n2 else top)
+        frame = frame_at(G, p)
+        assert _bits(frame.A) == _bits(A)
+        assert _bits(frame.B) == _bits(B)
+        assert _bits(semi_horizontal_gradient(G, f, p)) == _bits(semi)
+        assert _bits(horizontal_gradient(G, f, p)) == _bits(top)
+    # twist_jet takes one point: the first of the batch
+    eta = f.euclidean_gradient(p[0])
+    A, B = A[0], B[0]
+    split = np.concatenate([A @ eta, B @ eta]) if n2 else A @ eta
+    jet = twist_jet(G, p[0], 0.0, eta, f.euclidean_hessian(p[0]))
+    assert _bits(jet.eta) == _bits(split)
+
+
 def test_frame_partials_match_finite_differences():
     G = engel_group()
     rng = np.random.default_rng(5)
@@ -155,6 +207,14 @@ def test_twist_rejects_asymmetric_hessian():
     X[0, 1] = 1.0
     with pytest.raises(ValueError, match="symmetric"):
         twist_jet(G, [0, 0, 0], 0.0, [1.0, 0, 0], X)
+
+
+def test_twist_rejects_a_hessian_off_symmetry_by_a_relative_1e6():
+    # exact symmetry, as a Jet asks: no tolerance averages the two entries
+    X = np.zeros((3, 3))
+    X[0, 1], X[1, 0] = 1.0, 1.0 + 1e-6
+    with pytest.raises(ValueError, match="symmetric"):
+        twist_jet(heisenberg_group(), [0, 0, 0], 0.0, [1.0, 0, 0], X)
 
 
 @pytest.mark.parametrize("G", PRESETS, ids=lambda G: G.label)

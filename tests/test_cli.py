@@ -97,7 +97,7 @@ HEIS32 = dict(group="heisenberg1", box=[[-1, 1]] * 3, cells=[32] * 3, T=0.01, h=
 
 
 @pytest.mark.parametrize("data", [
-    # 1/0 on the lateral faces, read when the problem is built
+    # 1/0 on the lateral faces, read with the initial values of a solve
     "x1 + 1/(x3 - 0.0625)",
     # 1/0 at one interior node, read by the solve
     "x1 + 1/(x1*x1 + x2*x2 + (x3 - 0.0625)**2)",

@@ -88,9 +88,10 @@ def test_comparison_rejects_unordered_data(heis_problem):
 @pytest.mark.parametrize("offset,levels", [("1", 1), ("1 + t", 9)])
 def test_comparison_precondition_reads_each_time_level_once(
         monkeypatch, heis_problem, offset, levels):
-    # u0 and v0 once per time level: on every node at t = 0, then on the
-    # lateral nodes at each later level, of which there are none when
-    # neither field names t and eight when one does
+    # u0 and v0 once per time level: t = 0 is read only by the stack's rows
+    # (each field at every node as psi, then at the lateral nodes as g), and
+    # the order check reads the lateral nodes at each later level, of which
+    # there are none when neither field names t and eight when one does
     calls = []
     evaluate = ScalarField.__call__
 
@@ -105,12 +106,12 @@ def test_comparison_precondition_reads_each_time_level_once(
         raise Stop
 
     monkeypatch.setattr(ScalarField, "__call__", spy)
-    monkeypatch.setattr(experiments, "Stack", stop)
+    monkeypatch.setattr(experiments, "march", stop)
     u0 = heis_problem.psi
     v0 = u0 + ScalarField.from_expression(offset, 3)
     with pytest.raises(Stop):
         comparison_experiment(heis_problem, SolverConfig(), u0, v0)
-    assert len(calls) == 2 * levels
+    assert len(calls) == 2 * levels + 2
     # a pair that leaves its order on the boundary after t = 0 is still caught
     if levels > 1:
         late = u0 + ScalarField.from_expression("40*t - 1", 3)

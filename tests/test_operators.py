@@ -36,6 +36,11 @@ def test_asymmetric_hessian_rejected():
         infinity_laplacian(3, [1, 0], [[0, 1], [0, 0]])
 
 
+def test_a_hessian_off_symmetry_by_a_relative_1e6_is_rejected():
+    with pytest.raises(ValueError, match="symmetric"):
+        infinity_laplacian(3, [1, 0], [[0, 1], [1 + 1e-6, 0]])
+
+
 def test_params_validation():
     with pytest.raises(ValueError, match="h must be >= 1"):
         infinity_laplacian(0.5, [1, 0], np.eye(2))

@@ -119,9 +119,26 @@ def test_a_non_finite_snapshot_time_is_rejected_before_the_march(monkeypatch):
 
 
 def test_incompatible_data_warns():
+    # the problem only describes its data; the march that reads psi and g warns
     G = euclidean_group(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prob = make_problem(G, ((0, 1),), (8,), 2.0, "x1 + 1", "x1")
     with pytest.warns(UserWarning, match="boundary"):
-        make_problem(G, ((0, 1),), (8,), 2.0, "x1 + 1", "x1")
+        solve_parabolic(prob)
+
+
+def test_a_problem_evaluates_no_field(monkeypatch):
+    calls = []
+    evaluate = ScalarField.__call__
+
+    def spy(field, coords, t=0.0):
+        calls.append(t)
+        return evaluate(field, coords, t)
+
+    monkeypatch.setattr(ScalarField, "__call__", spy)
+    make_problem(heisenberg_group(), ((-1, 1),) * 3, (8, 8, 8), 2.0, "x1", "x2")
+    assert calls == []
 
 
 def test_direction_sets():
@@ -311,6 +328,16 @@ def test_schemes_of_other_content_build_their_own_geometry():
         fresh = Scheme(problem, config, node_subset=subset).matrix
         assert fresh is not held
         assert not (fresh.shape == held.shape and (fresh != held).nnz == 0)
+
+
+def test_direction_counts_that_give_one_set_share_one_geometry():
+    # the direction count changes the set only when n1 = 2
+    for n1 in (1, 3):
+        prob = make_problem(euclidean_group(n1), ((0, 1),) * n1, (4,) * n1, 2.0, "x1")
+        first = Scheme(prob, SolverConfig(direction_samples=4)).matrix
+        assert Scheme(prob, SolverConfig(direction_samples=16)).matrix is first
+        with pytest.raises(ValueError, match="read-only"):
+            direction_set(n1, 4)[0, 0] = 0.0
 
 
 def test_cached_geometry_is_read_only():

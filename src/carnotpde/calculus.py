@@ -1,13 +1,15 @@
 """Horizontal frames, derivatives, jet twisting and the doubling penalty.
 
-The frame rows of the first two layers at a point are one array (A, B: views).
+The frame rows of the first two layers at a point are one array (A, B: views),
+one bracket of the point with all basis rows at once; the frame's partials
+are brackets of whole basis arrays too.
 
 Two independent computation routes are kept deliberately separate:
 
 * the twist route converts a Euclidean jet with the frame matrices and the
   first-order correction matrix (exact polynomial frame entries);
 * the direct route composes the left-invariant vector fields themselves,
-  symbolically (``ScalarField.derivative``, one key per group content).
+  symbolically (``ScalarField.derivative``, cached by the group's ``key``).
 """
 
 from __future__ import annotations
@@ -69,17 +71,13 @@ def frame_rows(G, p):
 
     ``p`` may carry leading axes; returns shape p.shape[:-1] + (n1 + n2, N).
     """
-    p = np.asarray(p, dtype=float)
-    rows = []
-    for i in range(sum(G.layer_dims[:2])):
-        e = np.zeros(G.total_dim)
-        e[i] = 1.0
-        b = groups.bracket(G, p, e)
-        row = e + 0.5 * b
-        if G.step >= 3:
-            row = row + groups.bracket(G, p, b) / 12.0
-        rows.append(row)
-    return np.stack(rows, axis=-2)
+    p = np.asarray(p, dtype=float)[..., None, :]
+    E = np.eye(G.total_dim)[:sum(G.layer_dims[:2])]
+    b = groups.bracket(G, p, E)
+    rows = E + 0.5 * b
+    if G.step >= 3:
+        rows = rows + groups.bracket(G, p, b) / 12.0
+    return rows
 
 
 def frame_at(G, p):
@@ -91,33 +89,19 @@ def frame_at(G, p):
 
 def frame_partials(G, p):
     """d a_ij / d x_l for the layer-1 rows; shape (N, n1, N) indexed [l, i, j]."""
-    p = np.asarray(p, dtype=float)
-    n1 = G.horizontal_dim
-    N = G.total_dim
-    out = np.zeros((N, n1, N))
-    c = G.structure
-    for l in range(N):
-        el = np.zeros(N)
-        el[l] = 1.0
-        for i in range(n1):
-            ei = np.zeros(N)
-            ei[i] = 1.0
-            d = 0.5 * c[l, i]
-            if G.step >= 3:
-                d = d + (groups.bracket(G, el, groups.bracket(G, p, ei))
-                         + groups.bracket(G, p, c[l, i])) / 12.0
-            out[l, i] = d
+    c = G.structure[:, :G.horizontal_dim]
+    out = 0.5 * c
+    if G.step >= 3:
+        E = np.eye(G.total_dim)
+        out = out + (groups.bracket(G, E[:, None, :],
+                                    groups.bracket(G, p, E[:G.horizontal_dim]))
+                     + groups.bracket(G, p, c)) / 12.0
     return out
 
 
 # -- symbolic frames (cached per group) ------------------------------
 
 _SYMBOLIC_FRAMES = {}
-
-
-def _group_key(G):
-    """Cache key of a group by content: equal groups share it, others never."""
-    return G.layer_dims, G.structure.tobytes()
 
 
 def _symbolic_bracket(G, u, v):
@@ -131,8 +115,7 @@ def _symbolic_bracket(G, u, v):
 
 def symbolic_frame(G):
     """Layer-1 frame rows as sympy polynomials in x1..xN; cached."""
-    key = _group_key(G)
-    if key not in _SYMBOLIC_FRAMES:
+    if G.key not in _SYMBOLIC_FRAMES:
         xs = list(coordinate_symbols(G.total_dim)[:-1])
         rows = []
         for i in range(G.horizontal_dim):
@@ -144,8 +127,8 @@ def symbolic_frame(G):
                 bb = _symbolic_bracket(G, xs, b)
                 row = [row[j] + bb[j] / 12 for j in range(G.total_dim)]
             rows.append([sympy.expand(r) for r in row])
-        _SYMBOLIC_FRAMES[key] = rows
-    return _SYMBOLIC_FRAMES[key]
+        _SYMBOLIC_FRAMES[G.key] = rows
+    return _SYMBOLIC_FRAMES[G.key]
 
 
 # -- horizontal derivatives ------------------------------------------
@@ -164,7 +147,7 @@ def semi_horizontal_gradient(G, f, p, t=0.0):
 def symmetrized_hessian(G, f, p, t=0.0):
     """Symmetrized horizontal Hessian by direct vector-field composition."""
     n1 = G.horizontal_dim
-    return f.derivative(("hhess",) + _group_key(G),
+    return f.derivative(("hhess",) + G.key,
                         lambda expr, xs: _symbolic_hessian(G, expr, xs), (n1, n1))(p, t)
 
 
@@ -190,7 +173,6 @@ def twist_jet(G, p, a, eta, X):
     The space slots become (A.eta ++ B.eta, A X A^T + M) where M is the
     symmetrized first-order frame correction; the time slope passes through.
     """
-    p = np.asarray(p, dtype=float)
     eta = np.asarray(eta, dtype=float)
     X = np.asarray(X, dtype=float)
     N = G.total_dim

@@ -54,10 +54,13 @@ def _reject_unknown(data, known, where):
         raise ConfigError(f"unknown keys {where}: {', '.join(unknown)}")
 
 
-def _integer(value, key):
-    """An integral number (16 or 16.0) as an int; 16.5, true or "16" raise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
-        raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
+def _integer(value, key, least=-math.inf):
+    """An integral number (16 or 16.0) as an int, at least ``least``; 16.5,
+    true or "16" raise."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1
+            or value < least):
+        at_least = "" if least == -math.inf else f" >= {least}"
+        raise ConfigError(f"key '{key}' must be an integer{at_least}, got {value!r}")
     return int(value)
 
 
@@ -112,9 +115,10 @@ def parse_config(text):
         group = group_preset(spec)
     elif isinstance(spec, dict):
         _reject_unknown(spec, _GROUP_KEYS, "in the group spec")
-        group = make_group([_integer(d, "layers") for d in spec.get("layers", ())],
+        group = make_group([_integer(d, "layers")
+                            for d in _typed(spec.get("layers", []), "layers", list)],
                            _brackets(spec.get("brackets", [])),
-                           label=spec.get("label", "custom"))
+                           label=_typed(spec.get("label", "custom"), "label", str))
     else:
         raise ConfigError("'group' must be a preset name or a custom spec object")
 
@@ -123,33 +127,29 @@ def parse_config(text):
         raise ConfigError(f"key 'box' needs one [lo, hi] pair per axis, got {box!r}")
     cells = [_integer(c, "cells") for c in _require(data, "cells", list)]
     h = _require(data, "h", float)
-    if not 1.0 <= h < math.inf:
-        raise ConfigError(
-            f"h = {h} violates the homogeneity constraint h >= 1, h finite")
     horizon = _typed(data.get("T", 1.0), "T", float)
     grid = GridSpec(box=tuple(tuple(_typed(x, "box", float) for x in b) for b in box),
                     cells=tuple(cells), horizon=horizon)
-    if grid.ndim != group.total_dim:
-        raise ConfigError(
-            f"box has {grid.ndim} axes but group '{group.label}' has "
-            f"{group.total_dim} coordinates")
 
-    nodes = grid.coords()
-    data_fields = []
-    for name in ("psi", "g"):
-        # every node once at t = 0: a non-finite value is reported below by
-        # the expression's name, not warned about on the way
-        with np.errstate(all="ignore"):
-            fld = ScalarField.from_expression(_require(data, name, str), group.total_dim)
+    # the problem checks h and the dimensions before any field is evaluated;
+    # then every node once at t = 0: a non-finite value is reported by the
+    # expression's name, not warned about on the way
+    with np.errstate(all="ignore"):
+        psi, g = (ScalarField.from_expression(_require(data, name, str), group.total_dim)
+                  for name in ("psi", "g"))
+        try:
+            problem = CauchyDirichletProblem(group, grid, h, psi, g)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        nodes = grid.coords()
+        for name, fld in (("psi", psi), ("g", g)):
             try:
                 fld(nodes, 0.0)
             except FloatingPointError:
                 raise ConfigError(f"expression '{name}' is not finite on the box") from None
-        data_fields.append(fld)
-    psi, g = data_fields
 
     experiments = data.get("experiments", sorted(EXPERIMENTS))
-    if not isinstance(experiments, list):
+    if not (isinstance(experiments, list) and all(isinstance(e, str) for e in experiments)):
         raise ConfigError("'experiments' must be a list of experiment names")
     unknown = [e for e in experiments if e not in EXPERIMENTS]
     if unknown:
@@ -157,13 +157,13 @@ def parse_config(text):
 
     times = _typed(data.get("snapshot_times", [horizon]), "snapshot_times", list)
     return RunConfig(
-        problem=CauchyDirichletProblem(group, grid, h, psi, g),
+        problem=problem,
         solver=SolverConfig(**{
             key: _integer(data[key], key) if kind is int else _typed(data[key], key, kind)
             for key, kind in _SOLVER_KEYS.items() if key in data}),
         experiments=experiments,
         output_dir=_typed(data.get("output_dir", "."), "output_dir", str),
-        seed=_integer(data.get("seed", 0), "seed"),
+        seed=_integer(data.get("seed", 0), "seed", least=0),
         snapshot_times=[_typed(s, "snapshot_times", float) for s in times],
     )
 
@@ -252,17 +252,16 @@ def main(argv=None):
     if args.command == "list":
         print(list_experiments())
         return 0
-    # ValueError covers every config error; FloatingPointError, non-finite data
     try:
         config = parse_config(Path(args.config).read_text())
+        if args.seed is not None:
+            config.seed = _integer(args.seed, "seed", least=0)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FloatingPointError) as exc:
+    except ValueError as exc:      # every config error, non-finite data too
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        config.seed = args.seed
     out_dir = args.out if args.out is not None else config.output_dir
     try:
         if args.command == "solve":

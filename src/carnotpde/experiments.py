@@ -5,7 +5,8 @@ statement constrains, and reports pass/fail against the stated bound.  The
 exact scheme identities (comparison, boundary stability, sup bound,
 homogeneity) are checked at round-off tolerances; the asymptotic statements
 (decay, long-time limit, h -> 1 limit, commuting diagram) carry
-grid-scaled tolerances.
+grid-scaled tolerances, with the fixed settings ``DECAY_PAIRS`` and
+``H_SEQUENCE``.  The registry, ``run_experiment``, times each run.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .solver import (
     solve_to_steady,
 )
 
+DECAY_PAIRS = 8                     # latest capture pairs the decay bound is checked on
+H_SEQUENCE = (2.0, 1.5, 1.25, 1.1)  # h values of the h -> 1 sweep, decreasing
+
 
 class PreconditionError(ValueError):
     """An experiment's hypothesis fails on the supplied data."""
@@ -45,7 +49,7 @@ class ExperimentReport:
     measured: list                 # (label, value) pairs
     bound: float = None
     passed: bool = False
-    runtime_seconds: float = 0.0
+    runtime_seconds: float = 0.0   # set by run_experiment; 0.0 on a direct call
     detail: str = ""
 
     def to_dict(self):
@@ -83,17 +87,11 @@ def _digest(problem, config, **extra):
     return d
 
 
-def _timer():
-    start = time.perf_counter()
-    return lambda: time.perf_counter() - start
-
-
 # -- exact scheme identities -----------------------------------------
 
 
 def comparison_experiment(problem, config, u0, v0):
     """Evolve an ordered pair with a shared time step; the gap never flips sign."""
-    elapsed = _timer()
     grid = problem.grid
     scheme = Scheme(problem, config)
     stack = Stack([Binding(scheme, u0, u0, problem.h),
@@ -121,14 +119,13 @@ def comparison_experiment(problem, config, u0, v0):
     return ExperimentReport(
         name="comparison", inputs=_digest(problem, config),
         measured=[("max_u_minus_v", worst)], bound=1e-12,
-        passed=passed, runtime_seconds=elapsed(), detail=detail)
+        passed=passed, detail=detail)
 
 
 def boundary_stability_experiment(problem, config, g1, g2):
     """Two boundary data, one scheme: interior gap stays below the data gap,
     taken over every data value the march reads: the initial slice and the
     lateral nodes of every time level."""
-    elapsed = _timer()
     scheme = Scheme(problem, config)
     stack = Stack([Binding(scheme, g1, g1, problem.h),
                    Binding(scheme, g2, g2, problem.h)])
@@ -142,12 +139,11 @@ def boundary_stability_experiment(problem, config, g1, g2):
     return ExperimentReport(
         name="boundary_stability", inputs=_digest(problem, config),
         measured=[("sup_solution_gap", sol_gap), ("sup_data_gap", data_gap)],
-        bound=bound, passed=sol_gap <= bound, runtime_seconds=elapsed())
+        bound=bound, passed=sol_gap <= bound)
 
 
 def sup_bound_experiment(problem, config):
     """Every time level stays inside the envelope of the boundary/initial data."""
-    elapsed = _timer()
     grid = problem.grid
     times = list(np.linspace(0.0, grid.horizon, 6)[1:])
     result = solve_parabolic(problem, config, snapshot_times=times)
@@ -157,20 +153,18 @@ def sup_bound_experiment(problem, config):
     return ExperimentReport(
         name="sup_bound", inputs=_digest(problem, config),
         measured=[("sup_solution", sol_sup), ("sup_data", data_sup)],
-        bound=bound, passed=sol_sup <= bound and result.max_principle_ok,
-        runtime_seconds=elapsed())
+        bound=bound, passed=sol_sup <= bound and result.max_principle_ok)
 
 
 def homogeneity_experiment(problem, config, k):
     """Scaling the data by k^(1/(h-1)) and the step by 1/k commutes with the
     scheme exactly, level by level: u marches on the stops dt, 2 dt, ... and
     the scaled v on dt/k, 2 dt/k, ..., dt no wider than either CFL step."""
-    elapsed = _timer()
     h = problem.h
     if h <= 1.0:
         raise PreconditionError("the scaling identity needs h > 1")
-    if k <= 0:
-        raise PreconditionError("scaling factor k must be positive")
+    if not 0.0 < k < np.inf:
+        raise PreconditionError(f"scaling factor k must be positive and finite, got {k!r}")
     c = k ** (1.0 / (h - 1.0))
 
     scheme = Scheme(problem, config)
@@ -188,16 +182,15 @@ def homogeneity_experiment(problem, config, k):
     return ExperimentReport(
         name="homogeneity", inputs=_digest(problem, config, k=k),
         measured=[("max_scaling_mismatch", worst)], bound=1e-10,
-        passed=worst <= 1e-10, runtime_seconds=elapsed())
+        passed=worst <= 1e-10)
 
 
 # -- asymptotic statements -------------------------------------------
 
 
-def long_time_experiment(problem, config, n_pairs=8):
+def long_time_experiment(problem, config):
     """Decay of time increments at the stated rate, and convergence of the
     flow to the steady-state fixed point."""
-    elapsed = _timer()
     h = problem.h
     if h <= 1.0:
         raise PreconditionError("the decay statement needs h > 1")
@@ -217,14 +210,14 @@ def long_time_experiment(problem, config, n_pairs=8):
         if stack.at_stop:
             t_prev, prev = captures[-1]
             rate = float(np.abs(stack.U[0] - prev).max()) / (stack.t - t_prev)
-            captures = captures[-(n_pairs + 2):] + [(stack.t, stack.U[0].copy())]
+            captures = captures[-(DECAY_PAIRS + 2):] + [(stack.t, stack.U[0].copy())]
             if rate < config.steady_tolerance / 10.0:
                 break
     t_large, u_final = captures[-1]
 
     measured = []
     worst_ratio = 0.0
-    pairs = list(zip(captures[:-1], captures[1:]))[-n_pairs:]
+    pairs = list(zip(captures[:-1], captures[1:]))[-DECAY_PAIRS:]
     for (t_lo, u_lo), (t_hi, u_hi) in pairs:
         tau = t_hi - t_lo
         if tau > t_hi / 4.0:        # the bound needs a lag well inside (0, t)
@@ -250,36 +243,29 @@ def long_time_experiment(problem, config, n_pairs=8):
     detail = "" if decay_ok else "a time increment exceeded 1.5x the decay bound"
     return ExperimentReport(
         name="long_time", inputs=_digest(problem, config),
-        measured=measured, bound=bound, passed=passed,
-        runtime_seconds=elapsed(), detail=detail)
+        measured=measured, bound=bound, passed=passed, detail=detail)
 
 
-def h_limit_experiment(problem, config, h_sequence=(2.0, 1.5, 1.25, 1.1)):
-    """Solutions approach the h = 1 solution monotonically as h decreases."""
-    elapsed = _timer()
-    if any(hh <= 1.0 for hh in h_sequence):
-        raise PreconditionError("h_sequence must stay strictly above 1")
-    if any(b >= a for a, b in itertools.pairwise(h_sequence)):
-        raise PreconditionError("h_sequence must decrease toward 1")
+def h_limit_experiment(problem, config):
+    """Solutions approach the h = 1 solution monotonically along H_SEQUENCE."""
     reference = solve_parabolic(replace(problem, h=1.0), config).final
     gaps = []
-    for hh in h_sequence:
+    for hh in H_SEQUENCE:
         final = solve_parabolic(replace(problem, h=float(hh)), config).final
         gaps.append(float(np.abs(final.values - reference.values).max()))
     monotone = all(b <= a + 1e-3 for a, b in itertools.pairwise(gaps))
     bound = 5.0 * problem.grid.delta
     passed = monotone and gaps[-1] <= bound
     return ExperimentReport(
-        name="h_limit", inputs=_digest(problem, config, h_sequence=list(h_sequence)),
-        measured=[(f"gap_h={hh}", g) for hh, g in zip(h_sequence, gaps)],
-        bound=bound, passed=passed, runtime_seconds=elapsed(),
+        name="h_limit", inputs=_digest(problem, config, h_sequence=list(H_SEQUENCE)),
+        measured=[(f"gap_h={hh}", g) for hh, g in zip(H_SEQUENCE, gaps)],
+        bound=bound, passed=passed,
         detail="" if monotone else "gaps to the h=1 solution are not decreasing")
 
 
 def commuting_diagram_experiment(problem, config):
     """Large-time limit of the h -> 1 flow versus the elliptic fixed point:
     the two limit operations land on the same field."""
-    elapsed = _timer()
     result, t_large = solve_to_steady(replace(problem, h=1.0), config)
     steady = solve_elliptic_steady(problem, config)
     gap = float(np.abs(result.final.values - steady.values).max())
@@ -287,7 +273,7 @@ def commuting_diagram_experiment(problem, config):
     return ExperimentReport(
         name="commuting_diagram", inputs=_digest(problem, config),
         measured=[("limit_gap", gap), ("t_large", t_large)],
-        bound=bound, passed=gap <= bound, runtime_seconds=elapsed())
+        bound=bound, passed=gap <= bound)
 
 
 # -- variational doubling machinery ----------------------------------
@@ -300,13 +286,12 @@ def doubling_penalty_experiment(G, u, v, penalty, tau_sequence):
     decreases to (near) zero and the gauge distance between the pair
     collapses.
     """
-    elapsed = _timer()
     if u.grid != v.grid:
         raise PreconditionError("the two grid functions must share a grid")
     taus = [float(tau) for tau in tau_sequence]
-    if any(tau <= 0 for tau in taus) or any(
+    if not taus or any(tau <= 0 for tau in taus) or any(
             b <= a for a, b in itertools.pairwise(taus)):
-        raise PreconditionError("tau_sequence must be positive and increasing")
+        raise PreconditionError("tau_sequence must be nonempty, positive and increasing")
     coords = u.grid.coords()
     phi = calculus.doubling_penalty(
         G, penalty, coords[:, None, :], coords[None, :, :])
@@ -330,26 +315,24 @@ def doubling_penalty_experiment(G, u, v, penalty, tau_sequence):
         inputs={"group": G.label, "cells": list(u.grid.cells),
                 "m": penalty.m, "taus": taus},
         measured=measured, bound=bound, passed=passed,
-        runtime_seconds=elapsed(),
         detail="" if decreasing else "tau*phi failed to decrease")
 
 
 # -- derivative cross-checks -----------------------------------------
 
 
-def _polynomial_corpus(dim, max_degree=3):
-    """All nonconstant monomials x^alpha with |alpha| <= max_degree, as
-    text such as ``x1*x1*x2``."""
+def _polynomial_corpus(dim):
+    """All nonconstant monomials x^alpha with |alpha| <= 3, as text such as
+    ``x1*x1*x2``."""
     return [ScalarField.from_expression("*".join(f"x{i + 1}" for i in alpha), dim)
-            for total in range(1, max_degree + 1)
+            for total in range(1, 4)
             for alpha in itertools.combinations_with_replacement(range(dim), total)]
 
 
-def jet_twist_oracle_check(G, corpus=None, n_points=8, rng=None):
+def jet_twist_oracle_check(G, n_points=8, rng=None):
     """Frame-matrix jet twisting versus direct vector-field differentiation."""
-    elapsed = _timer()
     rng = rng or np.random.default_rng(0)
-    corpus = corpus if corpus is not None else _polynomial_corpus(G.total_dim)
+    corpus = _polynomial_corpus(G.total_dim)
     points = rng.uniform(-1.5, 1.5, size=(n_points, G.total_dim))
     worst = 0.0
     for f in corpus:
@@ -366,7 +349,7 @@ def jet_twist_oracle_check(G, corpus=None, n_points=8, rng=None):
         inputs={"group": G.label, "corpus_size": len(corpus),
                 "n_points": n_points},
         measured=[("max_jet_mismatch", worst)], bound=1e-8,
-        passed=worst <= 1e-8, runtime_seconds=elapsed())
+        passed=worst <= 1e-8)
 
 
 # -- registry ---------------------------------------------------------
@@ -442,5 +425,8 @@ def run_experiment(name, problem, config=None, rng=None):
     if name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise KeyError(f"unknown experiment '{name}' (known: {known})")
-    return EXPERIMENTS[name](problem, config or SolverConfig(),
-                             rng or np.random.default_rng(0))
+    start = time.perf_counter()
+    report = EXPERIMENTS[name](problem, config or SolverConfig(),
+                               rng or np.random.default_rng(0))
+    report.runtime_seconds = time.perf_counter() - start
+    return report

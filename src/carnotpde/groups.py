@@ -62,6 +62,11 @@ class CarnotGroupSpec:
         return np.zeros(self.total_dim)
 
     @cached_property
+    def key(self):
+        """Content key: equal groups share it, others never."""
+        return self.layer_dims, self.structure.tobytes()
+
+    @cached_property
     def bracket_terms(self):
         """(k, i, j, c[i, j, k]) for each nonzero constant, in (k, i, j) order."""
         return [(k, i, j, float(self.structure[i, j, k])) for k, i, j

@@ -92,9 +92,11 @@ class CauchyDirichletProblem:
     def __post_init__(self):
         if not 1.0 <= self.h < np.inf:
             raise ValueError(
-                f"homogeneity exponent h must be finite and >= 1, got {self.h!r}")
+                f"h = {self.h!r} violates the homogeneity constraint h >= 1, h finite")
         if self.grid.ndim != self.group.total_dim:
-            raise ValueError("grid dimension does not match the group")
+            raise ValueError(
+                f"grid dimension does not match the group: the box has {self.grid.ndim} "
+                f"axes, group '{self.group.label}' has {self.group.total_dim} coordinates")
 
 
 @functools.cache
@@ -149,8 +151,7 @@ def _content_key(problem, config, subset):
                   else grid.delta)
     # box and directions by their bytes: -0.0 and 0.0 stay apart as in the
     # coordinates, and direction counts that give one set share its key
-    return (G.layer_dims, G.structure.tobytes(), np.array(grid.box).tobytes(),
-            grid.cells, delta,
+    return (*G.key, np.array(grid.box).tobytes(), grid.cells, delta,
             direction_set(G.horizontal_dim, config.direction_samples).tobytes(),
             None if subset is None else subset.tobytes())
 

@@ -252,8 +252,7 @@ def test_criterion_08_elliptic_h_independence(interval_problem):
 def test_criterion_09_h_to_one_limit(interval_problem):
     config = SolverConfig(cfl_factor=1.0)
     t0 = time.perf_counter()
-    report = h_limit_experiment(interval_problem, config,
-                                h_sequence=(2.0, 1.5, 1.25, 1.1))
+    report = h_limit_experiment(interval_problem, config)
     elapsed = time.perf_counter() - t0
     verdict(9, "gaps to the h = 1 solution shrink along h -> 1",
             report.passed and elapsed < 300.0,

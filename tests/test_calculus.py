@@ -27,6 +27,8 @@ from carnotpde.fields import ScalarField
 from carnotpde.groups import engel_group, euclidean_group, heisenberg_group
 
 PRESETS = [euclidean_group(2), heisenberg_group(), engel_group()]
+FREE_3_3 = groups.make_group((3, 3), [(0, 1, 3, 1.0), (0, 2, 4, 1.0), (1, 2, 5, 1.0)])
+STEP3_212 = groups.make_group((2, 1, 2), [(0, 1, 2, 1.0), (0, 2, 3, 1.0), (1, 2, 4, 1.0)])
 
 
 def degree_three_corpus(dim):
@@ -82,8 +84,7 @@ def _bits(a):
 
 @pytest.mark.parametrize("G", [
     euclidean_group(1), euclidean_group(2), heisenberg_group(), engel_group(),
-    groups.make_group((3, 3), [(0, 1, 3, 1.0), (0, 2, 4, 1.0), (1, 2, 5, 1.0)])],
-    ids=lambda G: f"{G.label}{G.layer_dims}")
+    FREE_3_3, STEP3_212], ids=lambda G: f"{G.label}{G.layer_dims}")
 def test_one_frame_array_matches_the_layer_by_layer_frame_bit_for_bit(G):
     # frame, gradients and twisted eta from one array of the first two
     # layers' rows equal those built from each layer's rows apart
@@ -111,6 +112,33 @@ def test_one_frame_array_matches_the_layer_by_layer_frame_bit_for_bit(G):
     split = np.concatenate([A @ eta, B @ eta]) if n2 else A @ eta
     jet = twist_jet(G, p[0], 0.0, eta, f.euclidean_hessian(p[0]))
     assert _bits(jet.eta) == _bits(split)
+
+
+def _loop_partials(G, p):
+    """d a_ij / d x_l one basis pair (e_l, e_i) at a time."""
+    N, n1 = G.total_dim, G.horizontal_dim
+    out = np.zeros((N, n1, N))
+    c = G.structure
+    for l in range(N):
+        el = np.zeros(N)
+        el[l] = 1.0
+        for i in range(n1):
+            ei = np.zeros(N)
+            ei[i] = 1.0
+            d = 0.5 * c[l, i]
+            if G.step >= 3:
+                d = d + (groups.bracket(G, el, groups.bracket(G, p, ei))
+                         + groups.bracket(G, p, c[l, i])) / 12.0
+            out[l, i] = d
+    return out
+
+
+@pytest.mark.parametrize("G", PRESETS + [FREE_3_3, STEP3_212],
+                         ids=lambda G: f"{G.label}{G.layer_dims}")
+def test_frame_partials_match_the_pairwise_loop_bit_for_bit(G):
+    rng = np.random.default_rng(22)
+    for p in rng.uniform(-1.5, 1.5, (6, G.total_dim)):
+        assert _bits(frame_partials(G, p)) == _bits(_loop_partials(G, p))
 
 
 def test_frame_partials_match_finite_differences():

@@ -116,6 +116,29 @@ def test_group_and_box_dimensions_must_agree():
         parse_config(json.dumps(dict(MINIMAL, group="heisenberg1")))
 
 
+LINE = {"box": [[0, 1]], "cells": [4], "h": 2, "T": 0.01, "psi": "x1", "g": "x1"}
+
+
+@pytest.mark.parametrize("key,overrides,flags", [
+    ("layers", {"group": {"layers": 3}}, []),
+    ("experiments", {"experiments": [1]}, []),
+    ("experiments", {"experiments": [["comparison"]]}, []),
+    ("seed", {"seed": -1}, []),
+    ("seed", {}, ["--seed", "-1"]),
+    ("label", {"group": {"layers": [1], "label": 7}}, []),
+], ids=["scalar_layers", "integer_experiment", "list_experiment", "negative_seed",
+        "negative_seed_flag", "integer_label"])
+def test_malformed_input_exits_one_naming_its_key(tmp_path, capsys, key, overrides, flags):
+    # each ended in a TypeError traceback, numpy's unnamed seed error, or a
+    # group labelled 7
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(LINE, **overrides)))
+    assert main(flags + ["--out", str(tmp_path / "out"), "solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_custom_group_spec():
     cfg = dict(MINIMAL,
                group={"layers": [2, 1], "brackets": [[0, 1, 2, 1.0]],

@@ -15,7 +15,6 @@ from carnotpde.experiments import (
     boundary_stability_experiment,
     comparison_experiment,
     doubling_penalty_experiment,
-    h_limit_experiment,
     homogeneity_experiment,
     jet_twist_oracle_check,
     long_time_experiment,
@@ -193,6 +192,13 @@ def test_homogeneity_requires_h_above_one(line_problem):
         homogeneity_experiment(line_problem, SolverConfig(), -1.0)
 
 
+@pytest.mark.parametrize("k", [np.inf, np.nan])
+def test_homogeneity_rejects_a_non_finite_factor(line_problem, k):
+    # inf and nan passed the k <= 0 check and failed in field evaluation
+    with pytest.raises(PreconditionError, match="scaling factor k"):
+        homogeneity_experiment(line_problem, SolverConfig(), k)
+
+
 def test_homogeneity_k_equal_one_is_trivially_exact(heis_problem):
     report = homogeneity_experiment(heis_problem, SolverConfig(), 1.0)
     assert report.passed
@@ -219,13 +225,6 @@ def test_long_time_requires_static_boundary_data(line_problem):
     moving = ScalarField.from_expression("x1 + t", 1)
     with pytest.raises(PreconditionError, match="time-independent"):
         long_time_experiment(replace(line_problem, g=moving), SolverConfig())
-
-
-def test_h_limit_sequence_validation(line_problem):
-    with pytest.raises(PreconditionError):
-        h_limit_experiment(line_problem, SolverConfig(), h_sequence=(2.0, 1.0))
-    with pytest.raises(PreconditionError):
-        h_limit_experiment(line_problem, SolverConfig(), h_sequence=(1.5, 2.0))
 
 
 def test_doubling_penalty_identical_fields_have_zero_penalty():
@@ -264,10 +263,14 @@ def test_doubling_penalty_validation():
     with pytest.raises(PreconditionError, match="tau"):
         doubling_penalty_experiment(euclidean_group(2), u, u, PenaltySpec(),
                                     [2.0, 1.0])
+    # an empty sequence ended in an IndexError on the last penalty
+    with pytest.raises(PreconditionError, match="tau_sequence"):
+        doubling_penalty_experiment(euclidean_group(2), u, u, PenaltySpec(), [])
 
 
 def test_jet_twist_check_across_presets():
     for G in (euclidean_group(2), heisenberg_group()):
         report = jet_twist_oracle_check(G, n_points=4)
         assert report.passed
+        assert report.runtime_seconds == 0.0        # only the registry times a run
         assert report.inputs["group"] == G.label

@@ -97,7 +97,7 @@ def test_problem_validation():
     with pytest.raises(ValueError, match="h"):
         make_problem(G, ((0, 1), (0, 1)), (4, 4), 0.5, "x1")
     for h in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="exponent h must be finite"):
+        with pytest.raises(ValueError, match="violates the homogeneity constraint h >= 1, h finite"):
             make_problem(G, ((0, 1), (0, 1)), (4, 4), h, "x1")
     with pytest.raises(ValueError, match="dimension"):
         make_problem(heisenberg_group(), ((0, 1), (0, 1)), (4, 4), 2.0, "x1")

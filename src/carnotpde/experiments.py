@@ -289,9 +289,10 @@ def doubling_penalty_experiment(G, u, v, penalty, tau_sequence):
     if u.grid != v.grid:
         raise PreconditionError("the two grid functions must share a grid")
     taus = [float(tau) for tau in tau_sequence]
-    if not taus or any(tau <= 0 for tau in taus) or any(
+    if not taus or not all(0.0 < tau < np.inf for tau in taus) or any(
             b <= a for a, b in itertools.pairwise(taus)):
-        raise PreconditionError("tau_sequence must be nonempty, positive and increasing")
+        raise PreconditionError(
+            f"tau_sequence must be nonempty, positive, finite and increasing, got {taus}")
     coords = u.grid.coords()
     phi = calculus.doubling_penalty(
         G, penalty, coords[:, None, :], coords[None, :, :])

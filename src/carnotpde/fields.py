@@ -77,6 +77,11 @@ class ScalarField:
         if fn is None:
             symbols = coordinate_symbols(self.dim)
             entries = make_entries(self.expr, symbols)
+            # at a kink or jump sympy leaves the derivative unevaluated or
+            # returns a delta, and neither has a numpy value
+            if sympy.Array(entries).has(sympy.Derivative, sympy.DiracDelta):
+                raise ValueError(f"the field {self.expr} has no exact derivative "
+                                 f"'{key}': it is not smooth enough")
             # docstring_limit=0: no str(expr) for a docstring that nothing reads
             fn = sympy.lambdify(symbols, entries, modules="numpy",
                                 printer=_FullPrecisionPrinter(), docstring_limit=0)

@@ -173,15 +173,19 @@ def _geometry(G, grid, delta, kappa, subset):
     # so max + min reads the first D rows and the gradient the last 2 n1.
     directions = np.concatenate([kappa[~is_axis], axes])
     origins = grid.coords(subset)
-    M = build_stencil(grid, (
+    matrix = build_stencil(grid, (
         groups.multiply(G, origins, groups.embed_horizontal(G, delta * d))
-        for d in directions))
-    nodes = np.arange(grid.node_count) if full else np.union1d(subset, M.indices)
-    # the renumbering is increasing, so each row keeps its stored order
-    column = np.zeros(grid.node_count, np.int32)
-    column[nodes] = np.arange(len(nodes))
-    matrix = scipy.sparse.csr_array((M.data, column[M.indices], M.indptr),
-                                    shape=(M.shape[0], len(nodes)))
+        for d in directions), len(directions))
+    if full:
+        nodes = np.arange(grid.node_count)
+    else:
+        # columns renumbered to the subset and the nodes its rows read; the
+        # renumbering is increasing, so each row keeps its stored order
+        nodes = np.union1d(subset, matrix.indices)
+        column = np.zeros(grid.node_count, np.int32)
+        column[nodes] = np.arange(len(nodes))
+        matrix = scipy.sparse.csr_array((matrix.data, column[matrix.indices],
+                                         matrix.indptr), shape=(matrix.shape[0], len(nodes)))
     lateral, coords = grid.lateral_mask(nodes), grid.coords(nodes)
     geometry = dict(delta=delta, lateral=lateral, coords=coords,
                     interior_flat=np.searchsorted(nodes, subset),

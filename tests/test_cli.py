@@ -390,6 +390,20 @@ def test_violated_precondition_exits_one(tmp_path, capsys):
     assert "h > 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, code", [("abs(x1 - 0.5)", 1), ("max(x1, 0.3)", 0)])
+def test_verify_on_kinked_data_exits_one_naming_the_expression(tmp_path, data, code):
+    # long_time reads the data's exact gradient: at the kink of abs sympy
+    # leaves a Derivative, which ended in a printer traceback; max's gradient
+    # is a step, which evaluates
+    config = write_config(tmp_path, cells=[8], h=2, T=0.01, psi=data, g=data,
+                          experiments=["long_time"])
+    run = _module_cli("--quiet", "--out", str(tmp_path / "o"), "verify", str(config))
+    assert run.returncode == code, run.stderr
+    if code:
+        assert run.stderr == ("error: the field Abs(x1 - 0.5) has no exact "
+                              "derivative 'grad': it is not smooth enough\n")
+
+
 def test_failed_experiment_exits_two(tmp_path, monkeypatch):
     def fake_run(name, problem, config, rng):
         return ExperimentReport(name=name, inputs={}, measured=[("x", 1.0)],

@@ -266,6 +266,11 @@ def test_doubling_penalty_validation():
     # an empty sequence ended in an IndexError on the last penalty
     with pytest.raises(PreconditionError, match="tau_sequence"):
         doubling_penalty_experiment(euclidean_group(2), u, u, PenaltySpec(), [])
+    # an infinite or NaN tau passed the positivity check and reported a NaN
+    # penalty with a RuntimeWarning
+    for taus in ([1.0, np.inf], [np.nan]):
+        with pytest.raises(PreconditionError, match="tau_sequence"):
+            doubling_penalty_experiment(euclidean_group(2), u, u, PenaltySpec(), taus)
 
 
 def test_jet_twist_check_across_presets():

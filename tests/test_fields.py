@@ -180,6 +180,17 @@ def test_only_expression_text_defines_an_analytic_field(value):
         ScalarField.from_expression(value, 1)
 
 
+def test_a_derivative_sympy_leaves_unevaluated_raises_naming_the_expression():
+    # the delta in the Hessian of a kink ended in a NameError on 'DiracDelta'
+    # from the lambdified function
+    f = ScalarField.from_expression("max(x1, 0.3*x2)", 2)
+    p = np.array([[0.25, -0.75]])
+    with pytest.raises(ValueError, match=r"Max\(x1, 0\.3\*x2\).*'hess'"):
+        f.euclidean_hessian(p)
+    # its gradient is a step, which numpy evaluates
+    assert np.array_equal(f.euclidean_gradient(p), [[1.0, 0.0]])
+
+
 def test_derivatives_are_lambdified_once_per_key(monkeypatch):
     calls, lambdify = [], sympy.lambdify
 

@@ -31,12 +31,13 @@ print("  horizontal Hessian :")
 print(symmetrized_hessian(G, f, p))
 print()
 
-# twisting a Euclidean jet reproduces the direct computation
+# twisting a Euclidean jet with the frame reproduces the jet taken along the
+# group law, as derivatives of g(p * exp(s e_i) * exp(r e_j))
 g = ScalarField.from_expression("x1**2 + x1*x2 - x3 + 0.5*x2**2", 3)
 direct = field_jet(G, g, p)
 twisted = twist_jet(G, p, g.time_slope(p), g.euclidean_gradient(p),
                     g.euclidean_hessian(p))
 print("jet of x1^2 + x1*x2 - x3 + 0.5*x2^2 at p, two routes:")
-print("  direct  eta =", np.round(direct.eta, 10))
-print("  twisted eta =", np.round(twisted.eta, 10))
+print("  group-law eta =", np.round(direct.eta, 10))
+print("  twisted eta   =", np.round(twisted.eta, 10))
 print("  Hessian mismatch:", np.abs(direct.X - twisted.X).max())

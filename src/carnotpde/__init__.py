@@ -8,7 +8,7 @@ verification experiments (``experiments``) and a JSON-config CLI
 (``cli``).
 """
 
-from .expressions import ExpressionError, parse_expression
+from .expressions import ExpressionError
 from .fields import ScalarField
 from .groups import (
     CarnotGroupSpec,

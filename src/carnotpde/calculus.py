@@ -7,9 +7,12 @@ are brackets of whole basis arrays too.
 Two independent computation routes are kept deliberately separate:
 
 * the twist route converts a Euclidean jet with the frame matrices and the
-  first-order correction matrix (exact polynomial frame entries);
-* the direct route composes the left-invariant vector fields themselves,
-  symbolically (``ScalarField.derivative``, cached by the group's ``key``).
+  first-order correction matrix (the frame formula);
+* the group-law route takes X_i f(p) = d/ds f(p*exp(s e_i)) and X_i X_j f(p)
+  as the mixed derivative of f(p*exp(s e_i)*exp(r e_j)), both at 0.  At step
+  <= 3 the curves are of degree <= 2 in s and in r, so unit-step central
+  differences of ``groups.multiply`` give their derivatives exactly, and the
+  frame formula is never read.
 """
 
 from __future__ import annotations
@@ -17,10 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 from . import groups
-from .expressions import coordinate_symbols
 
 
 @dataclass
@@ -99,69 +100,39 @@ def frame_partials(G, p):
     return out
 
 
-# -- symbolic frames (cached per group) ------------------------------
-
-_SYMBOLIC_FRAMES = {}
+# -- horizontal derivatives (group-law route) ------------------------
 
 
-def _symbolic_bracket(G, u, v):
-    N = G.total_dim
-    out = [sympy.Integer(0)] * N
-    c = G.structure
-    for i, j, k in zip(*np.nonzero(c)):
-        out[k] += sympy.Rational(c[i, j, k]) * u[i] * v[j]
-    return out
-
-
-def symbolic_frame(G):
-    """Layer-1 frame rows as sympy polynomials in x1..xN; cached."""
-    if G.key not in _SYMBOLIC_FRAMES:
-        xs = list(coordinate_symbols(G.total_dim)[:-1])
-        rows = []
-        for i in range(G.horizontal_dim):
-            e = [sympy.Integer(1) if j == i else sympy.Integer(0)
-                 for j in range(G.total_dim)]
-            b = _symbolic_bracket(G, xs, e)
-            row = [e[j] + b[j] / 2 for j in range(G.total_dim)]
-            if G.step >= 3:
-                bb = _symbolic_bracket(G, xs, b)
-                row = [row[j] + bb[j] / 12 for j in range(G.total_dim)]
-            rows.append([sympy.expand(r) for r in row])
-        _SYMBOLIC_FRAMES[G.key] = rows
-    return _SYMBOLIC_FRAMES[G.key]
-
-
-# -- horizontal derivatives ------------------------------------------
+def _flow_rows(G, p, E):
+    """d/ds p*exp(s e) at s = 0 for each row e of E (a unit step's central
+    difference, exact for a quadratic curve); shape p.shape[:-1] + E.shape."""
+    p = np.asarray(p, dtype=float)[..., None, :]
+    return (groups.multiply(G, p, E) - groups.multiply(G, p, -E)) / 2.0
 
 
 def horizontal_gradient(G, f, p, t=0.0):
-    """Gradient along the layer-1 frame: A(p) . (Euclidean gradient)."""
+    """Derivatives along the layer-1 fields X_i."""
     return semi_horizontal_gradient(G, f, p, t)[..., :G.horizontal_dim]
 
 
 def semi_horizontal_gradient(G, f, p, t=0.0):
-    """Derivatives along the layer-1 and layer-2 frame rows, in that order."""
-    return np.einsum("...ij,...j->...i", frame_rows(G, p), f.euclidean_gradient(p, t))
+    """Derivatives along the layer-1 and layer-2 fields, in that order."""
+    E = np.eye(G.total_dim)[:sum(G.layer_dims[:2])]
+    return np.einsum("...ij,...j->...i", _flow_rows(G, p, E), f.euclidean_gradient(p, t))
 
 
 def symmetrized_hessian(G, f, p, t=0.0):
-    """Symmetrized horizontal Hessian by direct vector-field composition."""
-    n1 = G.horizontal_dim
-    return f.derivative(("hhess",) + G.key,
-                        lambda expr, xs: _symbolic_hessian(G, expr, xs), (n1, n1))(p, t)
-
-
-def _symbolic_hessian(G, expr, xs):
-    """Entries (X_i X_j + X_j X_i) expr / 2 over the symbols xs of a field."""
-    rows = symbolic_frame(G)
-    n1 = G.horizontal_dim
-
-    def apply_field(i, e):
-        return sum(rows[i][j] * sympy.diff(e, xs[j]) for j in range(G.total_dim))
-
-    firsts = [apply_field(i, expr) for i in range(n1)]
-    return [[sympy.expand((apply_field(i, firsts[j]) + apply_field(j, firsts[i])) / 2)
-             for j in range(n1)] for i in range(n1)]
+    """(X_i X_j + X_j X_i) f / 2, with X_i X_j f(p) = a_i^T H a_j + grad f . m_ij
+    for a_i the velocity of p*exp(s e_i) and m_ij the mixed derivative of
+    p*exp(s e_i)*exp(r e_j) at 0."""
+    p = np.asarray(p, dtype=float)
+    E = np.eye(G.total_dim)[:G.horizontal_dim]
+    A = _flow_rows(G, p, E)
+    ends = [groups.multiply(G, p[..., None, :], s * E) for s in (1.0, -1.0)]
+    mixed = (_flow_rows(G, ends[0], E) - _flow_rows(G, ends[1], E)) / 2.0
+    S = (np.einsum("...ia,...ab,...jb->...ij", A, f.euclidean_hessian(p, t), A)
+         + np.einsum("...ija,...a->...ij", mixed, f.euclidean_gradient(p, t)))
+    return 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
 # -- jet twisting ----------------------------------------------------
@@ -193,7 +164,7 @@ def twist_jet(G, p, a, eta, X):
 
 
 def field_jet(G, f, p, t=0.0):
-    """Carnot jet of a smooth field computed by the direct route."""
+    """Carnot jet of a field computed by the group-law route."""
     return Jet(a=float(f.time_slope(p, t)),
                eta=semi_horizontal_gradient(G, f, p, t),
                X=symmetrized_hessian(G, f, p, t))

@@ -331,7 +331,7 @@ def _polynomial_corpus(dim):
 
 
 def jet_twist_oracle_check(G, n_points=8, rng=None):
-    """Frame-matrix jet twisting versus direct vector-field differentiation."""
+    """Frame-matrix jet twisting versus differentiation along the group law."""
     rng = rng or np.random.default_rng(0)
     corpus = _polynomial_corpus(G.total_dim)
     points = rng.uniform(-1.5, 1.5, size=(n_points, G.total_dim))

@@ -6,11 +6,14 @@ syntax: ``+ - * / **``, unary minus, ``min``/``max``/``abs`` calls, numeric
 literals, the constants ``pi`` and ``e``, the coordinate names ``x1 .. xN``
 and time ``t``.
 
-The same walk builds either of two results from the checked tree:
-``compile_expression`` gives a numpy function that evaluates the expression
-as written (float64 literals, numpy operations in the tree's order,
-constant subtrees folded once), and ``parse_expression`` gives the sympy
-expression that the derivative paths differentiate.
+The same walk compiles the checked tree to either of two functions:
+``compile_expression`` to numpy, evaluating the expression as written
+(float64 literals, numpy operations in the tree's order, constant subtrees
+folded once), and ``compile_taylor`` to the same operations on ``Taylor``
+values, second-order forward-mode arithmetic that carries the gradient and
+Hessian over (x1..xN, t).  ``min`` and ``max`` take the derivatives of the
+operand they select and ``abs`` multiplies them by the sign, so at a kink
+the derivatives are one-sided.
 """
 
 from __future__ import annotations
@@ -18,31 +21,12 @@ from __future__ import annotations
 import ast
 import functools
 import operator
-from collections import namedtuple
 
 import numpy as np
-import sympy
 
 
 class ExpressionError(ValueError):
     """Raised when an expression string does not fit the grammar."""
-
-
-_BINOPS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
-    ast.Pow: operator.pow,
-}
-
-
-def coordinate_symbols(dim):
-    """Symbols x1..x<dim> plus the time symbol, in that order."""
-    xs = sympy.symbols(" ".join(f"x{i + 1}" for i in range(dim)))
-    if dim == 1:
-        xs = (xs,)
-    return tuple(xs) + (sympy.Symbol("t"),)
 
 
 def _tree(text):
@@ -54,29 +38,33 @@ def _tree(text):
         ) from None
 
 
-def parse_expression(text, dim):
-    """Parse ``text`` into a sympy expression over x1..x<dim> and t."""
-    symbols = coordinate_symbols(dim)
-    names = {f"x{i + 1}": symbols[i] for i in range(dim)}
-    names["t"] = symbols[-1]
-    names.update(pi=sympy.pi, e=sympy.E)
-    return _walk(_tree(text), names, _SYMPY)
-
-
 def compile_expression(text, dim):
     """Check ``text`` and compile it to a numpy function of the argument
     list [x1, .., x<dim>, t]; returns the function and whether the
     expression names t."""
-    tree = _tree(text)
-    names = {f"x{i + 1}": operator.itemgetter(i) for i in range(dim)}
-    names["t"] = operator.itemgetter(dim)
-    names.update(pi=np.float64(np.pi), e=np.float64(np.e))
-    fn = _walk(tree, names, _NUMPY)
-    if not callable(fn):
-        fn = _constant(fn)
-    names_time = any(isinstance(node, ast.Name) and node.id == "t"
-                     for node in ast.walk(tree))
-    return fn, names_time
+    return _compile(text, dim, _NUMPY)
+
+
+def compile_taylor(text, dim):
+    """Check ``text`` and compile it to a function of the argument list of
+    ``Taylor`` values, giving a ``Taylor`` value (a number if constant)."""
+    return _compile(text, dim, _TAYLOR)[0]
+
+
+class _Names(dict):
+    """Name bindings; ``read`` records the names a walk looked up."""
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return dict.__getitem__(self, name)
+
+
+def _compile(text, dim, functions):
+    names = _Names({f"x{i + 1}": operator.itemgetter(i) for i in range(dim)},
+                   t=operator.itemgetter(dim), pi=np.float64(np.pi), e=np.float64(np.e))
+    names.read = set()
+    fn = _walk(_tree(text), names, functions)
+    return (fn if callable(fn) else _constant(fn)), "t" in names.read
 
 
 def _constant(value):
@@ -97,29 +85,113 @@ def _lift(op):
     return build
 
 
-# what the walk builds: literals, binary operators, negation and calls
-_Target = namedtuple("_Target", "number binops negate functions")
+class Taylor:
+    """Second-order Taylor value at points: value ``v`` (...), gradient ``g``
+    (..., N+1) and Hessian ``H`` (..., N+1, N+1) over (x1..xN, t), broadcast
+    over the points.  Every rule keeps ``H`` exactly symmetric."""
 
-_SYMPY = _Target(sympy.Number, _BINOPS, operator.neg,
-                 {"min": sympy.Min, "max": sympy.Max, "abs": sympy.Abs})
-_NUMPY = _Target(
-    np.float64, {kind: _lift(op) for kind, op in _BINOPS.items()}, _lift(operator.neg),
-    {"min": _lift(lambda *a: functools.reduce(np.minimum, a)),
-     "max": _lift(lambda *a: functools.reduce(np.maximum, a)),
-     # one operand only: np.abs's second positional argument is ``out``
-     "abs": _lift(lambda a: np.abs(a))})
+    __array_ufunc__ = None      # a numpy scalar operand defers to the reflected rule
+
+    def __init__(self, v, g, H):
+        self.v, self.g, self.H = np.asarray(v), g, H
+
+    def chain(self, f0, f1, f2):
+        """phi(self), from phi and its first two derivatives at ``v``."""
+        f1, f2 = np.asarray(f1)[..., None], np.asarray(f2)[..., None, None]
+        return Taylor(f0, f1 * self.g,
+                      f1[..., None] * self.H + f2 * (self.g[..., :, None] * self.g[..., None, :]))
+
+    def __add__(self, other):
+        v, g, H = _parts(other)
+        return Taylor(self.v + v, self.g + g, self.H + H)
+
+    def __mul__(self, other):
+        v, g, H = _parts(other)
+        cross = self.g[..., :, None] * g[..., None, :]
+        return Taylor(self.v * v, self.v[..., None] * g + v[..., None] * self.g,
+                      self.v[..., None, None] * H + v[..., None, None] * self.H
+                      + (cross + np.swapaxes(cross, -1, -2)))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return Taylor(-self.v, -self.g, -self.H)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __truediv__(self, other):
+        return self * Taylor(*_parts(other)).reciprocal()
+
+    def __rtruediv__(self, other):
+        return self.reciprocal() * other
+
+    def reciprocal(self):
+        r = 1.0 / self.v
+        return self.chain(r, -r * r, 2.0 * r * r * r)
+
+    def __pow__(self, b):
+        v = self.v
+        if isinstance(b, Taylor):                   # a**b = exp(b log a)
+            return (b * self.chain(np.log(v), 1.0 / v, -1.0 / (v * v))).exp()
+        # a zero factor is no term: 0 * v**(b - 1) would be nan at v = 0
+        return self.chain(v ** b, b * v ** (b - 1) if b else 0.0,
+                          b * (b - 1) * v ** (b - 2) if b * (b - 1) else 0.0)
+
+    def __rpow__(self, a):
+        return (self * np.log(a)).exp()
+
+    def exp(self):
+        value = np.exp(self.v)
+        return self.chain(value, value, value)
+
+
+def _parts(x):
+    """Value, gradient and Hessian of a Taylor value, or of a number."""
+    return (x.v, x.g, x.H) if isinstance(x, Taylor) else (np.asarray(x), _NO_G, _NO_H)
+
+
+_NO_G, _NO_H = np.zeros(1), np.zeros((1, 1))       # zero, broadcast to any length
+
+
+def _select(first):
+    """min (``first`` is <=) or max (>=): at each point, the whole Taylor
+    value of the operand it selects, the first one at a tie."""
+    def pick(a, b):
+        (va, ga, Ha), (vb, gb, Hb) = _parts(a), _parts(b)
+        mask = np.asarray(first(va, vb))
+        return Taylor(np.where(mask, va, vb), np.where(mask[..., None], ga, gb),
+                      np.where(mask[..., None, None], Ha, Hb))
+    return lambda *parts: functools.reduce(pick, parts)
+
+
+# what the walk builds: one set of operators acts on numpy and Taylor
+# operands alike, and the calls differ
+_OPERATORS = {ast.Add: _lift(operator.add), ast.Sub: _lift(operator.sub),
+              ast.Mult: _lift(operator.mul), ast.Div: _lift(operator.truediv),
+              ast.Pow: _lift(operator.pow)}
+_NEGATE = _lift(operator.neg)
+_NUMPY = {"min": _lift(lambda *a: functools.reduce(np.minimum, a)),
+          "max": _lift(lambda *a: functools.reduce(np.maximum, a)),
+          # one operand only: np.abs's second positional argument is ``out``
+          "abs": _lift(lambda a: np.abs(a))}
+_TAYLOR = {"min": _lift(_select(np.less_equal)), "max": _lift(_select(np.greater_equal)),
+           "abs": _lift(lambda a: a.chain(np.abs(a.v), np.sign(a.v), 0.0))}
 
 
 def _fail(node, message):
     raise ExpressionError(f"column {node.col_offset}: {message}")
 
 
-def _walk(node, names, target):
+def _walk(node, names, functions):
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             _fail(node, f"literal {node.value!r} is not numeric")
         try:
-            return target.number(node.value)
+            return np.float64(node.value)
         except OverflowError:
             _fail(node, "integer literal is too large for a float")
     if isinstance(node, ast.Name):
@@ -127,25 +199,25 @@ def _walk(node, names, target):
             _fail(node, f"unknown coordinate name '{node.id}'")
         return names[node.id]
     if isinstance(node, ast.BinOp):
-        op = target.binops.get(type(node.op))
+        op = _OPERATORS.get(type(node.op))
         if op is None:
             _fail(node, f"operator {type(node.op).__name__} not allowed")
-        return op(_walk(node.left, names, target), _walk(node.right, names, target))
+        return op(_walk(node.left, names, functions), _walk(node.right, names, functions))
     if isinstance(node, ast.UnaryOp):
         if isinstance(node.op, ast.USub):
-            return target.negate(_walk(node.operand, names, target))
+            return _NEGATE(_walk(node.operand, names, functions))
         if isinstance(node.op, ast.UAdd):
-            return _walk(node.operand, names, target)
+            return _walk(node.operand, names, functions)
         _fail(node, f"operator {type(node.op).__name__} not allowed")
     if isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in target.functions:
+        if not isinstance(node.func, ast.Name) or node.func.id not in functions:
             _fail(node, "only min, max and abs calls are allowed")
         if node.keywords:
             _fail(node, "keyword arguments are not allowed")
-        args = [_walk(a, names, target) for a in node.args]
+        args = [_walk(a, names, functions) for a in node.args]
         if not args:
             _fail(node, f"{node.func.id}() needs at least one argument")
         if node.func.id == "abs" and len(args) != 1:
             _fail(node, "abs() takes exactly one argument")
-        return target.functions[node.func.id](*args)
+        return functions[node.func.id](*args)
     _fail(node, f"syntax element {type(node).__name__} not allowed")

@@ -1,16 +1,18 @@
 """Horizontal frames, jet twisting and the doubling penalty.
 
 The core check is the two-route equivalence: twisting a Euclidean jet with
-the frame matrices must reproduce direct differentiation along the
-left-invariant vector fields.
+the frame matrices must reproduce differentiation along the group law.  A
+test-local sympy composition of the left-invariant vector fields is the
+oracle for the group-law route.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+import sympy
 
-from carnotpde import calculus, groups
+from carnotpde import groups
 from carnotpde.calculus import (
     Jet,
     PenaltySpec,
@@ -26,9 +28,12 @@ from carnotpde.calculus import (
 from carnotpde.fields import ScalarField
 from carnotpde.groups import engel_group, euclidean_group, heisenberg_group
 
+EPS = np.finfo(float).eps
 PRESETS = [euclidean_group(2), heisenberg_group(), engel_group()]
 FREE_3_3 = groups.make_group((3, 3), [(0, 1, 3, 1.0), (0, 2, 4, 1.0), (1, 2, 5, 1.0)])
 STEP3_212 = groups.make_group((2, 1, 2), [(0, 1, 2, 1.0), (0, 2, 3, 1.0), (1, 2, 4, 1.0)])
+ALL_GROUPS = [euclidean_group(1), euclidean_group(2), heisenberg_group(), engel_group(),
+              FREE_3_3, STEP3_212]
 
 
 def degree_three_corpus(dim):
@@ -77,41 +82,55 @@ def _layer_rows(G, p, indices):
     return np.stack(rows, axis=-2)
 
 
+def _cubic_field(N):
+    return ScalarField.from_expression(
+        " + ".join(f"{0.3 * (i + 1)!r}*x{i + 1}*x{(i + 1) % N + 1}*x{(i + 2) % N + 1}"
+                   for i in range(N)), N)
+
+
 def _bits(a):
     a = np.asarray(a, dtype=float)
     return a.shape, np.ascontiguousarray(a).view(np.int64).tolist()
 
 
-@pytest.mark.parametrize("G", [
-    euclidean_group(1), euclidean_group(2), heisenberg_group(), engel_group(),
-    FREE_3_3, STEP3_212], ids=lambda G: f"{G.label}{G.layer_dims}")
+@pytest.mark.parametrize("G", ALL_GROUPS, ids=lambda G: f"{G.label}{G.layer_dims}")
 def test_one_frame_array_matches_the_layer_by_layer_frame_bit_for_bit(G):
-    # frame, gradients and twisted eta from one array of the first two
-    # layers' rows equal those built from each layer's rows apart
+    # the frame and the twisted eta from one array of the first two layers'
+    # rows equal those built from each layer's rows apart
     N, n1 = G.total_dim, G.horizontal_dim
     n2 = G.layer_dims[1] if G.step >= 2 else 0
-    f = ScalarField.from_expression(
-        " + ".join(f"{0.3 * (i + 1)!r}*x{i + 1}*x{(i + 1) % N + 1}*x{(i + 2) % N + 1}"
-                   for i in range(N)), N)
+    f = _cubic_field(N)
     rng = np.random.default_rng(21)
     for p in (rng.uniform(-1.5, 1.5, N), rng.uniform(-1.5, 1.5, (7, N))):
         A = _layer_rows(G, p, range(n1))
         B = _layer_rows(G, p, range(n1, n1 + n2)) if n2 else np.zeros(p.shape[:-1] + (0, N))
-        grad = f.euclidean_gradient(p)
-        top = np.einsum("...ij,...j->...i", A, grad)
-        semi = (np.concatenate([top, np.einsum("...ij,...j->...i", B, grad)], axis=-1)
-                if n2 else top)
         frame = frame_at(G, p)
         assert _bits(frame.A) == _bits(A)
         assert _bits(frame.B) == _bits(B)
-        assert _bits(semi_horizontal_gradient(G, f, p)) == _bits(semi)
-        assert _bits(horizontal_gradient(G, f, p)) == _bits(top)
-    # twist_jet takes one point: the first of the batch
+    # twist_jet takes one point: the first of the batch, whose layer rows
+    # are built alone (a row of the batch's strided stack can take another
+    # matmul path, which sums in another order)
     eta = f.euclidean_gradient(p[0])
-    A, B = A[0], B[0]
+    A = _layer_rows(G, p[0], range(n1))
+    B = _layer_rows(G, p[0], range(n1, n1 + n2)) if n2 else np.zeros((0, N))
     split = np.concatenate([A @ eta, B @ eta]) if n2 else A @ eta
     jet = twist_jet(G, p[0], 0.0, eta, f.euclidean_hessian(p[0]))
     assert _bits(jet.eta) == _bits(split)
+
+
+@pytest.mark.parametrize("G", ALL_GROUPS, ids=lambda G: f"{G.label}{G.layer_dims}")
+def test_group_law_gradients_are_the_frame_rows_applied_to_the_gradient(G):
+    # the velocity of p*exp(s e_i) is the frame row a_i(p), to round-off
+    N, n12 = G.total_dim, sum(G.layer_dims[:2])
+    f = _cubic_field(N)
+    p = np.random.default_rng(21).uniform(-1.5, 1.5, (7, N))
+    grad = f.euclidean_gradient(p)
+    semi = np.einsum("...ij,...j->...i", _layer_rows(G, p, range(n12)), grad)
+    # each velocity entry is a difference of group products of size (1 + |p|)^2
+    scale = (1 + np.abs(p).max(-1, keepdims=True)) ** 2 * np.abs(grad).sum(-1, keepdims=True)
+    assert np.all(np.abs(semi_horizontal_gradient(G, f, p) - semi) <= 16 * EPS * scale)
+    assert np.array_equal(horizontal_gradient(G, f, p),
+                          semi_horizontal_gradient(G, f, p)[..., :G.horizontal_dim])
 
 
 def _loop_partials(G, p):
@@ -302,21 +321,61 @@ def test_doubling_penalty_positive_definite_in_the_group_sense(G):
     assert np.abs(doubling_penalty(G, spec, p, p)).max() <= 1e-14
 
 
-def test_symbolic_caches_are_keyed_by_group_content():
-    calculus._SYMBOLIC_FRAMES.clear()
-    f = ScalarField.from_expression("x1*x2 + x3*x3", 3)
-    p = np.array([[0.3, -0.2, 0.5]])
-    for _ in range(500):
-        G = heisenberg_group()
-        calculus.symbolic_frame(G)
-        heis = symmetrized_hessian(G, f, p)
-    assert len(calculus._SYMBOLIC_FRAMES) == 1
-    assert len(f._derivatives) == 1
-    # same layer dimensions, different brackets: a separate entry each
-    others = [euclidean_group(3), groups.make_group((2, 1), [(0, 1, 2, 2.0)])]
-    for k, G in enumerate(others, start=2):
-        calculus.symbolic_frame(G)
-        other = symmetrized_hessian(G, f, p)
-        assert len(calculus._SYMBOLIC_FRAMES) == k
-        assert len(f._derivatives) == k
-        assert other.shape != heis.shape or not np.allclose(other, heis)
+# -- the group-law route against a symbolic oracle --------------------
+
+
+def _symbolic_hessian(G, text):
+    """(X_i X_j + X_j X_i) f / 2 by sympy, composing the vector fields
+    X_i = sum_j a_ij d/dx_j with the polynomial frame
+    a_i = e_i + [x, e_i]/2 + [x, [x, e_i]]/12."""
+    N, n1 = G.total_dim, G.horizontal_dim
+    xs = sympy.symbols([f"x{i + 1}" for i in range(N)])
+    f = sympy.sympify(text, locals={**{str(x): x for x in xs}, "e": sympy.E})
+
+    def bracket(u, v):
+        out = [sympy.Integer(0)] * N
+        for k, i, j, c in G.bracket_terms:
+            out[k] += sympy.Rational(c) * u[i] * v[j]
+        return out
+
+    rows = []
+    for i in range(n1):
+        e = [sympy.Integer(int(j == i)) for j in range(N)]
+        b = bracket(xs, e)
+        rows.append([e[j] + b[j] / 2 + bracket(xs, b)[j] / 12 for j in range(N)])
+
+    def apply_field(i, expr):
+        return sum(rows[i][j] * sympy.diff(expr, xs[j]) for j in range(N))
+
+    firsts = [apply_field(i, f) for i in range(n1)]
+    return sympy.lambdify(xs, [[(apply_field(i, firsts[j]) + apply_field(j, firsts[i])) / 2
+                                for j in range(n1)] for i in range(n1)], "numpy")
+
+
+ORACLE_FIELDS = ["x1*x2*x2 + 0.5*x1", "x1*x{N} - x2*x{N}*x{N} + x1**3",
+                 "x{N}/(1 + x1**2 + x2**2)", "(2 + x1*x{N})**0.5", "2**x{N} * x1",
+                 "e**(x1*x2 - x{N})", "x1*x{N}/(x2 - 4)"]
+
+
+@pytest.mark.parametrize("G", ALL_GROUPS, ids=lambda G: f"{G.label}{G.layer_dims}")
+def test_group_law_hessian_matches_the_symbolic_vector_field_composition(G):
+    N = G.total_dim
+    points = np.random.default_rng(8).uniform(-1.0, 1.0, (8, N))
+    for text in ORACLE_FIELDS:
+        text = text.format(N=N)
+        if G.horizontal_dim == 1:
+            text = text.replace("x2", "x1")
+        f = ScalarField.from_expression(text, N)
+        oracle = _symbolic_hessian(G, text)
+        ref = np.array([oracle(*p) for p in points], dtype=float)
+        X = symmetrized_hessian(G, f, points)
+        assert np.array_equal(X, np.swapaxes(X, -1, -2))
+        assert np.all(np.abs(X - ref) <= 64 * EPS * (1 + np.abs(ref))), (text, X, ref)
+
+
+def test_field_jet_of_a_kinked_field_is_finite():
+    G = heisenberg_group()
+    f = ScalarField.from_expression("x1*x2 + max(0, x1 - 0.1*x3)", 3)
+    for p in np.random.default_rng(4).uniform(-1, 1, (6, 3)):
+        jet = field_jet(G, f, p)
+        assert np.all(np.isfinite(jet.eta)) and np.all(np.isfinite(jet.X))

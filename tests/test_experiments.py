@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from carnotpde import experiments
+from carnotpde import calculus, experiments, groups
 from carnotpde.calculus import PenaltySpec
 from carnotpde.experiments import (
     EXPERIMENTS,
@@ -22,7 +22,7 @@ from carnotpde.experiments import (
 )
 from carnotpde.fields import ScalarField
 from carnotpde.grid import GridFunction, GridSpec
-from carnotpde.groups import euclidean_group, heisenberg_group
+from carnotpde.groups import engel_group, euclidean_group, heisenberg_group
 from carnotpde.solver import CauchyDirichletProblem, SolverConfig
 
 
@@ -279,3 +279,28 @@ def test_jet_twist_check_across_presets():
         assert report.passed
         assert report.runtime_seconds == 0.0        # only the registry times a run
         assert report.inputs["group"] == G.label
+
+
+def test_jet_twist_check_fails_on_a_wrong_step_3_frame_coefficient(monkeypatch):
+    # [p, [p, e_i]]/6 in place of /12 in the twist route's frame and its
+    # partials: the group-law route does not read that formula, so the
+    # check must see the difference
+    rows, partials = calculus.frame_rows, calculus.frame_partials
+
+    def planted_rows(G, p):
+        E = np.eye(G.total_dim)[:sum(G.layer_dims[:2])]
+        q = np.asarray(p, dtype=float)[..., None, :]
+        return rows(G, p) + groups.bracket(G, q, groups.bracket(G, q, E)) / 12.0
+
+    def planted_partials(G, p):
+        E, c = np.eye(G.total_dim), G.structure[:, :G.horizontal_dim]
+        return partials(G, p) + (groups.bracket(G, E[:, None, :],
+                                                groups.bracket(G, p, E[:G.horizontal_dim]))
+                                 + groups.bracket(G, p, c)) / 12.0
+
+    assert jet_twist_oracle_check(engel_group()).passed
+    monkeypatch.setattr(calculus, "frame_rows", planted_rows)
+    monkeypatch.setattr(calculus, "frame_partials", planted_partials)
+    report = jet_twist_oracle_check(engel_group())
+    assert not report.passed
+    assert dict(report.measured)["max_jet_mismatch"] > 0.1

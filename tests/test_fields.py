@@ -1,6 +1,6 @@
-"""Scalar fields: the compiled expression path, its lazy sympy expression,
-the one derivative route and its literals, the grammar checks at definition
-and complex values."""
+"""Scalar fields: the compiled expression path, the Taylor derivatives and
+their literals against a test-local sympy oracle, kinks, the grammar checks
+at definition and complex values."""
 
 import ast
 import functools
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from carnotpde import expressions
 from carnotpde.experiments import comparison_experiment
-from carnotpde.expressions import ExpressionError, coordinate_symbols, parse_expression
+from carnotpde.expressions import ExpressionError
 from carnotpde.fields import ScalarField
 from carnotpde.grid import GridSpec
 from carnotpde.groups import heisenberg_group
@@ -85,35 +85,50 @@ def magnitude(text, coords, t):
                                coords.shape[:-1])
 
 
+def sympy_oracle(text, dim):
+    """The text as sympy reads it, unevaluated (the tree as written), and its
+    symbols x1..x<dim>, t."""
+    symbols = sympy.symbols([f"x{i + 1}" for i in range(dim)] + ["t"])
+    names = {str(s): s for s in symbols}
+    names.update(pi=sympy.pi, e=sympy.E, min=sympy.Min, max=sympy.Max, abs=sympy.Abs)
+    return sympy.parse_expr(text, local_dict=names, evaluate=False), symbols
+
+
 def _literal(value):
     return f"{value:.17g}"
 
 
-def grammar_trees(dim):
+def grammar_trees(dim, polynomial=False):
+    """Trees over the whole grammar, or polynomials: + - * and powers 0..3."""
     leaves = st.one_of(
         st.sampled_from([f"x{i + 1}" for i in range(dim)] + ["t", "pi", "e"]),
         st.floats(1e-3, 10.0).map(_literal),
         st.integers(0, 9).map(str))
+    operators = ["+", "-", "*"] if polynomial else ["+", "-", "*", "/"]
+    powers = ["0", "1", "2", "3"] if polynomial else ["0", "1", "2", "3", "-1", "-2"]
 
     def extend(children):
-        return st.one_of(
-            st.tuples(children, st.sampled_from(["+", "-", "*", "/"]), children)
+        branches = [
+            st.tuples(children, st.sampled_from(operators), children)
               .map(lambda p: f"({p[0]} {p[1]} {p[2]})"),
             children.map(lambda a: f"(-{a})"),
-            st.tuples(children, st.sampled_from(["0", "1", "2", "3", "-1", "-2"]))
-              .map(lambda p: f"({p[0]})**{p[1]}"),
-            st.tuples(st.sampled_from(["min", "max"]),
-                      st.lists(children, min_size=1, max_size=3))
-              .map(lambda p: f"{p[0]}({', '.join(p[1])})"),
-            children.map(lambda a: f"abs({a})"))
+            st.tuples(children, st.sampled_from(powers))
+              .map(lambda p: f"({p[0]})**{p[1]}")]
+        if not polynomial:
+            branches += [
+                st.tuples(st.sampled_from(["min", "max"]),
+                          st.lists(children, min_size=1, max_size=3))
+                  .map(lambda p: f"{p[0]}({', '.join(p[1])})"),
+                children.map(lambda a: f"abs({a})")]
+        return st.one_of(*branches)
 
     return st.recursive(leaves, extend, max_leaves=10)
 
 
 @st.composite
-def expressions_at_points(draw):
+def expressions_at_points(draw, polynomial=False):
     dim = draw(st.integers(1, 4))
-    text = draw(grammar_trees(dim))
+    text = draw(grammar_trees(dim, polynomial))
     coords = np.array(draw(st.lists(
         st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim),
         min_size=1, max_size=6)))
@@ -122,6 +137,8 @@ def expressions_at_points(draw):
 
 
 @given(expressions_at_points())
+# x1**2 underflows to 0: the tree as written gives -0.0, not -x1
+@example(("(-((x1)**2 / x1))", 1, np.array([[9.64116831e-208]]), 0.0))
 @settings(max_examples=300, deadline=None)
 def test_compiled_field_is_the_numpy_evaluation_of_its_text(case):
     text, dim, coords, t = case
@@ -141,11 +158,11 @@ def test_compiled_field_is_the_numpy_evaluation_of_its_text(case):
     # lambdify of the sympy expression: the same value up to round-off,
     # where sympy can build it (min(x1, 0**-1) is not: zoo has no order)
     try:
-        expr = parse_expression(text, dim)
+        expr, symbols = sympy_oracle(text, dim)
     except ValueError:
         reject()
     assume(not expr.has(sympy.zoo, sympy.nan, sympy.oo, -sympy.oo, sympy.I))
-    fn = sympy.lambdify(coordinate_symbols(dim), expr, modules="numpy")
+    fn = sympy.lambdify(symbols, expr, modules="numpy")
     with np.errstate(all="ignore"):
         ref = np.broadcast_to(np.asarray(
             fn(*[coords[..., i] for i in range(dim)], t), dtype=float), got.shape)
@@ -180,30 +197,105 @@ def test_only_expression_text_defines_an_analytic_field(value):
         ScalarField.from_expression(value, 1)
 
 
-def test_a_derivative_sympy_leaves_unevaluated_raises_naming_the_expression():
-    # the delta in the Hessian of a kink ended in a NameError on 'DiracDelta'
-    # from the lambdified function
-    f = ScalarField.from_expression("max(x1, 0.3*x2)", 2)
-    p = np.array([[0.25, -0.75]])
-    with pytest.raises(ValueError, match=r"Max\(x1, 0\.3\*x2\).*'hess'"):
-        f.euclidean_hessian(p)
-    # its gradient is a step, which numpy evaluates
-    assert np.array_equal(f.euclidean_gradient(p), [[1.0, 0.0]])
+class _Absolute(ast.NodeTransformer):
+    """The tree with every literal, subtraction and negation made positive."""
+
+    def visit_Constant(self, node):
+        return ast.Constant(abs(node.value))
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.op, ast.Sub):
+            node.op = ast.Add()
+        return node
+
+    def visit_UnaryOp(self, node):
+        return self.visit(node.operand)
 
 
-def test_derivatives_are_lambdified_once_per_key(monkeypatch):
-    calls, lambdify = [], sympy.lambdify
+@given(expressions_at_points(polynomial=True))
+@settings(max_examples=150, deadline=None)
+def test_taylor_derivatives_match_the_sympy_oracle(case):
+    # the scale is the same derivative of the tree with every term made
+    # positive, at |coords|: no evaluation order of the derivative sums
+    # terms larger than that
+    text, dim, coords, t = case
+    field = ScalarField.from_expression(text, dim)
+    grad, hess = field.euclidean_gradient(coords, t), field.euclidean_hessian(coords, t)
+    slope = field.time_slope(coords, t)
+    # evaluated and expanded, so that sympy's derivative divides by nothing
+    expr, symbols = sympy_oracle(text, dim)
+    expr = sympy.expand(expr.doit())
+    absolute = ast.unparse(_Absolute().visit(ast.parse(text, mode="eval")))
+    absolute_expr = sympy.expand(sympy_oracle(absolute, dim)[0].doit())
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return lambdify(*args, **kwargs)
+    def derivative(e, wrt, points):
+        fn = sympy.lambdify(symbols, e.diff(*wrt), "numpy")
+        return np.broadcast_to(fn(*[points[..., i] for i in range(dim)], t),
+                               coords.shape[:-1])
 
-    monkeypatch.setattr(sympy, "lambdify", counted)
+    nodes = sum(1 for _ in ast.walk(ast.parse(text)))
+    xs = symbols[:-1]
+    pairs = ([(grad[..., i], (a,)) for i, a in enumerate(xs)]
+             + [(hess[..., i, j], (a, b)) for i, a in enumerate(xs) for j, b in enumerate(xs)]
+             + [(slope, (symbols[-1],))])
+    for got, wrt in pairs:
+        ref = derivative(expr, wrt, coords)
+        scale = derivative(absolute_expr, wrt, np.abs(coords))
+        bound = 32 * nodes * (EPS * scale + TINY)
+        assert np.all(np.abs(got - ref) <= bound), (text, wrt, got, ref, bound)
+    assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+
+
+# a kinked field, and its kink arguments: the differences of the operands
+# that abs, min and max compare
+KINKED = {
+    "abs(x1 - 0.5*x2) * x2 + t": lambda x1, x2, t: [x1 - 0.5 * x2],
+    "min(x1*x2, 0.3, x2 - t)": lambda x1, x2, t: [x1 * x2 - 0.3, x1 * x2 - x2 + t, 0.3 - x2 + t],
+    "max(x1**2, x2 - 0.2) - 0.5*t*x1": lambda x1, x2, t: [x1 ** 2 - x2 + 0.2],
+}
+
+
+@pytest.mark.parametrize("text", sorted(KINKED))
+def test_jets_of_kinked_fields_match_one_sided_differences(text):
+    # on each smooth piece, at least 0.05 from a kink, forward differences of
+    # the field (gradient, time slope) and of its gradient (Hessian)
+    f = ScalarField.from_expression(text, 2)
+    rng = np.random.default_rng(7)
+    coords, t = rng.uniform(-1, 1, (400, 2)), 0.25
+    gaps = np.abs(np.array(KINKED[text](coords[:, 0], coords[:, 1], t)))
+    coords = coords[gaps.min(axis=0) > 0.05][:40]
+    assert len(coords) == 40
+    grad, hess = f.euclidean_gradient(coords, t), f.euclidean_hessian(coords, t)
+    step = 1e-7
+    for i in range(2):
+        shifted = coords + step * np.eye(2)[i]
+        assert np.abs((f(shifted, t) - f(coords, t)) / step - grad[:, i]).max() < 1e-5
+        fd = (f.euclidean_gradient(shifted, t) - grad) / step
+        assert np.abs(fd - hess[:, :, i]).max() < 1e-5
+    assert np.abs((f(coords, t + step) - f(coords, t)) / step
+                  - f.time_slope(coords, t)).max() < 1e-5
+
+
+@pytest.fixture
+def taylor_compiles(monkeypatch):
+    """The arguments of every Taylor compile while the test runs."""
+    calls, compile_taylor = [], expressions.compile_taylor
+
+    def spy(*args):
+        calls.append(args)
+        return compile_taylor(*args)
+
+    monkeypatch.setattr(expressions, "compile_taylor", spy)
+    return calls
+
+
+def test_the_taylor_function_is_compiled_once_per_field(taylor_compiles):
     f = ScalarField.from_expression("x1*x2**2 - 0.5*t*x1", 2)
     p = np.array([[0.25, -0.75], [1.0, 2.0]])
     for _ in range(3):
         grad, hess, slope = f.euclidean_gradient(p), f.euclidean_hessian(p), f.time_slope(p)
-    assert len(calls) == 3 and sorted(f._derivatives) == ["dt", "grad", "hess"]
+    assert taylor_compiles == [("x1*x2**2 - 0.5*t*x1", 2)]
     assert np.array_equal(grad, [[0.5625, -0.375], [4.0, 4.0]])
     assert np.array_equal(hess, [[[0.0, -1.5], [-1.5, 0.5]], [[0.0, 4.0], [4.0, 2.0]]])
     assert np.array_equal(slope, [-0.125, -0.5])
@@ -215,22 +307,10 @@ def test_operations_run_in_the_written_order():
     assert f(np.array([0.0]), 0.0) == 0.0
 
 
-# -- no sympy on the way to a march -----------------------------------
+# -- no Taylor function on the way to a march ---------------------------
 
 
-def test_defining_and_marching_a_pair_builds_no_sympy(monkeypatch):
-    calls = []
-
-    def spy(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(expressions, "parse_expression",
-                        spy("parse_expression", expressions.parse_expression))
-    monkeypatch.setattr(sympy, "lambdify", spy("lambdify", sympy.lambdify))
-
+def test_defining_and_marching_a_pair_builds_no_taylor_function(taylor_compiles):
     text = "0.3*x1 - 0.2*x2 + 0.1*x3 + 0.25*x1*x2 - 0.15*x1*x1"
     u0 = ScalarField.from_expression(text, 3)
     v0 = u0 + 0.3
@@ -238,18 +318,17 @@ def test_defining_and_marching_a_pair_builds_no_sympy(monkeypatch):
     problem = CauchyDirichletProblem(heisenberg_group(), grid, 2.0, u0, u0)
     report = comparison_experiment(problem, SolverConfig(cfl_factor=1.0), u0, v0)
     assert report.passed
-    assert calls == []
+    assert taylor_compiles == []
     assert u0.time_dependent is False and v0.time_dependent is False
 
-    # the derivative path still builds the sympy expression, once it is asked for
+    # a derivative compiles it, once for the field and the shifted copy
     coords = grid.coords()
-    expr = parse_expression(text, 3)
-    symbols = coordinate_symbols(3)
-    grads = sympy.lambdify(symbols, [sympy.diff(expr, s) for s in symbols[:-1]], "numpy")
-    expected = np.stack(np.broadcast_arrays(*grads(*coords.T, 0.0)), axis=-1)
-    assert np.array_equal(u0.euclidean_gradient(coords), expected)
-    assert np.array_equal(v0.euclidean_gradient(coords), expected)
-    assert "parse_expression" in calls
+    x1, x2 = coords[:, 0], coords[:, 1]
+    expected = np.stack([0.3 + 0.25 * x2 - 0.3 * x1, -0.2 + 0.25 * x1,
+                         np.full_like(x1, 0.1)], axis=-1)
+    assert np.abs(u0.euclidean_gradient(coords) - expected).max() <= 4 * EPS
+    assert np.array_equal(v0.euclidean_gradient(coords), u0.euclidean_gradient(coords))
+    assert taylor_compiles == [(text, 3)]
 
 
 def test_arithmetic_combines_the_compiled_functions():
@@ -261,9 +340,14 @@ def test_arithmetic_combines_the_compiled_functions():
     assert np.array_equal((2.5 * u)(coords, 0.5), 2.5 * base)
     assert np.array_equal((u + w)(coords, 0.5), base + other)
     assert (u + w).time_dependent and not (u + 0.3).time_dependent
-    x1, x2, t = coordinate_symbols(2)
-    assert sympy.simplify((u + w).expr - (x1 * x2 + 0.1 + x2 - t)) == 0
-    assert sympy.simplify((2.5 * u).expr - 2.5 * (x1 * x2 + 0.1)) == 0
+    # and their Taylor functions: the derivatives of x1*x2 + x2 - t and 2.5*x1*x2
+    x1, x2 = coords[:, 0], coords[:, 1]
+    assert np.array_equal((u + w).euclidean_gradient(coords, 0.5),
+                          np.stack([x2, x1 + 1.0], axis=-1))
+    assert np.array_equal((u + w).time_slope(coords, 0.5), np.full(7, -1.0))
+    assert np.array_equal((2.5 * u).euclidean_hessian(coords, 0.5),
+                          np.broadcast_to([[0.0, 2.5], [2.5, 0.0]], (7, 2, 2)))
+    assert np.array_equal((u + 0.3).euclidean_gradient(coords), u.euclidean_gradient(coords))
 
 
 @pytest.mark.parametrize("text", ["abs(x1)", "abs(-x2) * x1", "x1", "+x2", "min(x1)",
@@ -322,7 +406,7 @@ def test_grammar_rejections_raise_at_definition(text, message):
         ScalarField.from_expression(text, 3)
     assert str(caught.value) == message
     with pytest.raises(ExpressionError) as caught:
-        parse_expression(text, 3)
+        expressions.compile_taylor(text, 3)
     assert str(caught.value) == message
 
 
@@ -341,18 +425,19 @@ def test_syntax_errors_raise_at_definition(text):
 
 
 def test_a_complex_sympy_field_raises_instead_of_dropping_the_imaginary_part():
-    # sympy reads (-1)**0.5 as 1.0*I; the compiled value is nan
+    # sympy reads (-1)**0.5 as 1.0*I; in float64 it is nan, and so are the
+    # value and every derivative
     coords = np.array([[0.5], [1.0]])
+    assert sympy_oracle("(-1)**0.5*x1 + x1**2", 1)[0].doit().has(sympy.I)
     with np.errstate(invalid="ignore"):
         f = ScalarField.from_expression("(-1)**0.5*x1 + x1**2", 1)
         g = ScalarField.from_expression("(-1)**0.5*x1*t", 1)
         with pytest.raises(FloatingPointError):
             f(coords, 0.0)
-    assert f.expr.has(sympy.I)
-    with pytest.raises(ValueError, match="complex"):
-        f.euclidean_gradient(coords)
-    with pytest.raises(ValueError, match="complex"):
-        g.time_slope(coords)
+        with pytest.raises(FloatingPointError, match="derivative"):
+            f.euclidean_gradient(coords)
+        with pytest.raises(FloatingPointError, match="derivative"):
+            g.time_slope(coords)
 
 
 def test_a_fractional_power_of_a_negative_literal_is_not_finite():

@@ -36,6 +36,15 @@ to each field's row, whose gradient rows give its speed and CFL step, and
 one min and max of each updated row check that it is finite and in its
 envelope.
 
+Above ``2 * BAND_WEIGHTS`` stored weights (Heisenberg 25^3 and up) the
+geometry also cuts the matrix's rows into contiguous bands of about equal
+weight, one per CPU the process may use, whose ``data`` and ``indices`` are
+views of the matrix's; ``apply`` then runs the bands' products on a module
+thread pool, each into its own slice of one output.  Every row's sum is the
+one the whole product computes, so the result is bit-identical to it.  A
+process restricted to one CPU (``taskset -c 0``, ``os.sched_setaffinity``)
+builds no band and starts no thread; so does every smaller geometry.
+
 ``solve_elliptic_steady`` finds the fixed point of the same max + min map by
 policy iteration (one sparse linear solve per switch of each node's argmax
 and argmin directions, by a numpy BiCGSTAB) and certifies it: a checked
@@ -47,7 +56,9 @@ data extremes, which bracket the fixed point from both sides.
 from __future__ import annotations
 
 import functools
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +68,9 @@ from . import groups
 from .grid import GridFunction, GridSpec, build_stencil
 
 MAX_STEPS = 2_000_000     # march steps, policy rounds or bracket sweeps per solve
+# Least stored weights per row band of a threaded apply: on 2 CPUs two bands
+# break even with one product near 3.5e5 weights (Heisenberg 17^3).
+BAND_WEIGHTS = 2 ** 19
 
 
 class SolverError(RuntimeError):
@@ -141,6 +155,50 @@ def _norm(components):
 
 
 _held = {}      # the most recent geometry: at most one key and its arrays
+_pool = None    # the threads of the banded apply, started by the first one
+
+
+def _band_product(band, u, out):
+    out[...] = band @ u
+
+
+def _forget_pool():
+    global _pool
+    _pool = None        # a forked child has none of the parent's pool threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _bands(matrix):
+    """The matrix's rows cut into one band per CPU of about equal weight,
+    each at least BAND_WEIGHTS: (rows, csr_array) pairs whose ``data`` and
+    ``indices`` are views of the matrix's; () where that is under two bands."""
+    n = min(_cpus(), matrix.nnz // BAND_WEIGHTS)
+    if n < 2:
+        return ()
+    indptr = matrix.indptr
+    cuts = [0, *np.searchsorted(indptr, matrix.nnz * np.arange(1, n) // n),
+            matrix.shape[0]]
+    bands = []
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        lo, hi = indptr[start], indptr[stop]
+        # the csr_array constructor copies a slice under half its base, so
+        # the arrays go onto an empty band of the band's shape
+        band = scipy.sparse.csr_array((stop - start, matrix.shape[1]))
+        band.data, band.indices = matrix.data[lo:hi], matrix.indices[lo:hi]
+        band.indptr = indptr[start:stop + 1] - lo
+        bands.append((slice(start, stop), band))
+    return tuple(bands)
 
 
 def _content_key(problem, config, subset):
@@ -191,8 +249,11 @@ def _geometry(G, grid, delta, kappa, subset):
                     interior_flat=np.searchsorted(nodes, subset),
                     coords_lateral=coords[lateral], directions=directions,
                     n_kappa=len(kappa), _grad_start=len(kappa) - int(is_axis.sum()),
-                    matrix=matrix)
-    for a in (*geometry.values(), matrix.data, matrix.indices, matrix.indptr):
+                    matrix=matrix, bands=_bands(matrix))
+    arrays = list(geometry.values())
+    for m in (matrix, *(band for _, band in geometry["bands"])):
+        arrays += [m.data, m.indices, m.indptr]
+    for a in arrays:
         if isinstance(a, np.ndarray):
             a.setflags(write=False)
     return geometry
@@ -234,8 +295,20 @@ class Scheme:
         return scheme
 
     def apply(self, u):
-        """One field's values at every flow target, shape (directions, K)."""
-        return (self.matrix @ u).reshape(len(self.directions), -1)
+        """One field's values at every flow target, shape (directions, K):
+        one product, or one per row band, the first in the calling thread."""
+        if not self.bands:
+            return (self.matrix @ u).reshape(len(self.directions), -1)
+        global _pool
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _cpus() - 1), "carnotpde-apply")
+        out = np.empty(self.matrix.shape[0])
+        (rows, first), *rest = self.bands
+        pending = [_pool.submit(_band_product, band, u, out[r]) for r, band in rest]
+        _band_product(first, u, out[rows])
+        for p in pending:
+            p.result()
+        return out.reshape(len(self.directions), -1)
 
     def gradient(self, W):
         """Central differences along the layer-1 axes from the +-e_i rows of

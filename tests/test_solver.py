@@ -400,6 +400,117 @@ def test_invalid_node_subset_raises_on_every_call():
             Scheme(prob, node_subset=[0, 31])
 
 
+# -- the banded apply --------------------------------------------------
+
+
+def test_a_banded_apply_is_the_one_product_bit_for_bit(monkeypatch):
+    # two CPUs whatever the host has, and a geometry built in this test
+    monkeypatch.setattr(solver, "_cpus", lambda: 2)
+    monkeypatch.setattr(solver, "_held", {})
+    scheme = Scheme(make_problem(heisenberg_group(), _CUBE, (24, 24, 24), 2.0, "x1"))
+    M = scheme.matrix
+    assert M.nnz >= 2 * solver.BAND_WEIGHTS
+    assert len(scheme.bands) == 2
+    stops = [0]
+    for rows, band in scheme.bands:
+        assert rows.start == stops[-1] < rows.stop
+        assert band.shape == (rows.stop - rows.start, M.shape[1])
+        stops.append(rows.stop)
+        assert np.shares_memory(band.data, M.data)
+        assert np.shares_memory(band.indices, M.indices)
+        for a in (band.data, band.indices, band.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+    assert stops[-1] == M.shape[0]
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        u = rng.standard_normal(M.shape[1])
+        assert np.array_equal(scheme.apply(u), (M @ u).reshape(len(scheme.directions), -1))
+
+
+def test_small_geometries_build_no_band(monkeypatch):
+    # below 2 BAND_WEIGHTS weights the apply stays one product on any host
+    monkeypatch.setattr(solver, "_cpus", lambda: 64)
+    monkeypatch.setattr(solver, "_held", {})
+    for problem in (make_problem(heisenberg_group(), _CUBE, (16, 16, 16), 2.0, "x1"),
+                    make_problem(euclidean_group(1), ((0, 1),), (128,), 2.0, "x1")):
+        assert Scheme(problem).bands == ()
+
+
+def _run(script, pin):
+    """The stdout of ``script`` run in a fresh process, restricted first to
+    one CPU of this one when ``pin``."""
+    head = ("import os\n"
+            f"if {pin}:\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", head + script], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_one_cpu_builds_no_band_starts_no_thread_and_gives_the_same_apply():
+    script = (
+        "import hashlib, threading\n"
+        "import numpy as np\n"
+        "from carnotpde import (CauchyDirichletProblem, GridSpec, ScalarField,\n"
+        "                       heisenberg_group)\n"
+        "from carnotpde.solver import Scheme\n"
+        "f = ScalarField.from_expression('x1', 3)\n"
+        "grid = GridSpec(box=((-1, 1),) * 3, cells=(32,) * 3)\n"
+        "s = Scheme(CauchyDirichletProblem(heisenberg_group(), grid, 2.0, f, f))\n"
+        "W = s.apply(np.sin(np.arange(s.matrix.shape[1], dtype=float)))\n"
+        "print(s.matrix.nnz, len(s.bands), threading.active_count(),\n"
+        "      hashlib.sha256(W).hexdigest())\n")
+    pinned, free = _run(script, True), _run(script, False)
+    assert pinned[1:3] == ["0", "1"]
+    bands = min(len(os.sched_getaffinity(0)), int(free[0]) // solver.BAND_WEIGHTS)
+    assert int(free[1]) == (bands if bands >= 2 else 0)
+    assert pinned[3] == free[3]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_a_forked_child_runs_the_banded_apply():
+    # the child inherits the parent's pool object but none of its threads
+    script = (
+        "import time\n"
+        "import numpy as np\n"
+        "from carnotpde import (CauchyDirichletProblem, GridSpec, ScalarField,\n"
+        "                       heisenberg_group, solver)\n"
+        "solver._cpus = lambda: 2\n"
+        "f = ScalarField.from_expression('x1', 3)\n"
+        "grid = GridSpec(box=((-1, 1),) * 3, cells=(24,) * 3)\n"
+        "s = solver.Scheme(CauchyDirichletProblem(heisenberg_group(), grid, 2.0, f, f))\n"
+        "u = np.sin(np.arange(s.matrix.shape[1], dtype=float))\n"
+        "W = s.apply(u)\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    os._exit(0 if np.array_equal(s.apply(u), W) else 1)\n"
+        "for _ in range(600):\n"
+        "    done, status = os.waitpid(pid, os.WNOHANG)\n"
+        "    if done:\n"
+        "        break\n"
+        "    time.sleep(0.05)\n"
+        "else:\n"
+        "    os.kill(pid, 9)\n"
+        "    os.waitpid(pid, 0)\n"
+        "    status = 'hung'\n"
+        "print(len(s.bands), status)\n")
+    assert _run(script, False) == ["2", "0"]
+
+
+def test_a_small_solve_starts_no_thread():
+    script = (
+        "import threading\n"
+        "from carnotpde import (CauchyDirichletProblem, GridSpec, ScalarField,\n"
+        "                       euclidean_group, solve_to_steady)\n"
+        "f = ScalarField.from_expression('x1 + 0.5*x1*(1 - x1)', 1)\n"
+        "grid = GridSpec(box=((0, 1),), cells=(128,), horizon=1.0)\n"
+        "solve_to_steady(CauchyDirichletProblem(euclidean_group(1), grid, 2.0, f, f))\n"
+        "print(threading.active_count())\n")
+    assert _run(script, False) == ["1"]
+
+
 _SOLVES = [solve_parabolic, solve_to_steady, solve_elliptic_steady]
 
 

@@ -51,20 +51,16 @@ def compile_taylor(text, dim):
     return _compile(text, dim, _TAYLOR)[0]
 
 
-class _Names(dict):
-    """Name bindings; ``read`` records the names a walk looked up."""
-
-    def __getitem__(self, name):
-        self.read.add(name)
-        return dict.__getitem__(self, name)
-
-
 def _compile(text, dim, functions):
-    names = _Names({f"x{i + 1}": operator.itemgetter(i) for i in range(dim)},
-                   t=operator.itemgetter(dim), pi=np.float64(np.pi), e=np.float64(np.e))
-    names.read = set()
-    fn = _walk(_tree(text), names, functions)
-    return (fn if callable(fn) else _constant(fn)), "t" in names.read
+    tree = _tree(text)
+    names = dict({f"x{i + 1}": operator.itemgetter(i) for i in range(dim)},
+                 t=operator.itemgetter(dim), pi=np.float64(np.pi), e=np.float64(np.e))
+    fn = _walk(tree, names, functions)
+    # the walk passed, so a name t is the time, never a call's; a text
+    # without the letter t is not walked again
+    reads_t = "t" in text and any(isinstance(n, ast.Name) and n.id == "t"
+                                  for n in ast.walk(tree))
+    return (fn if callable(fn) else _constant(fn)), reads_t
 
 
 def _constant(value):

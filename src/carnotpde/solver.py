@@ -18,32 +18,17 @@ negative raising a neighbor can lower the update, and an ordered pair can
 cross (ROADMAP item 1, a monotone update for every h).
 
 A ``Scheme`` is the data-free geometry of one (group, grid, delta, direction
-set): its stencil matrix (``grid.build_stencil``), whose rows read grid
-nodes only, read by its one ``apply``, whose first D rows are the direction
-set and last 2 n1 the +-e_i of the central-difference gradient.  Its arrays
-depend on a content key only (the group's layers and structure constants,
-box, cells, delta, direction set and node subset), which a solve checks a
-given ``scheme`` against.  The module holds the most recent geometry,
-read-only, so successive Schemes of equal content share one build: problems
-that differ only in horizon, h or data (the pairs of a comparison block, the
-h of an h-limit sweep, the experiments of one ``verify``).  A new key drops
-the held geometry before its own build, so the module never holds two.  A
-``Binding`` is one field's data on it (psi, g, h) and the envelope of every
-data value read; it warns where psi and g differ on the lateral nodes, and a
-problem reads no data.  ``march`` advances a (B, nodes) ``Stack`` of bound
-fields one step at a time: ``Scheme.discrete_operator`` applies the stencil
-to each field's row, whose gradient rows give its speed and CFL step, and
-one min and max of each updated row check that it is finite and in its
-envelope.
-
-Above ``2 * BAND_WEIGHTS`` stored weights (Heisenberg 25^3 and up) the
-geometry also cuts the matrix's rows into contiguous bands of about equal
-weight, one per CPU the process may use, whose ``data`` and ``indices`` are
-views of the matrix's; ``apply`` then runs the bands' products on a module
-thread pool, each into its own slice of one output.  Every row's sum is the
-one the whole product computes, so the result is bit-identical to it.  A
-process restricted to one CPU (``taskset -c 0``, ``os.sched_setaffinity``)
-builds no band and starts no thread; so does every smaller geometry.
+set): one stencil matrix (``grid.build_stencil``), whose first D rows are the
+direction set and last 2 n1 the +-e_i of the central-difference gradient,
+read by its one ``apply``.  The module holds the most recent geometry, which
+Schemes of equal content share (``Scheme``), and cuts a large matrix into
+row bands that ``apply`` runs across the CPUs (``_bands``).  A ``Binding`` is
+one field's data on it (psi, g, h) and the envelope of every data value
+read; it warns where psi and g differ on the lateral nodes, and a problem
+reads no data.  ``march`` advances a (B, nodes) ``Stack`` of bound fields one
+step at a time: ``Scheme.discrete_operator`` applies the stencil to each
+field's row, whose gradient rows give its speed and CFL step, and one min and
+max of each updated row check that it is finite and in its envelope.
 
 ``solve_elliptic_steady`` finds the fixed point of the same max + min map by
 policy iteration (one sparse linear solve per switch of each node's argmax
@@ -57,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import os
+import statistics
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -116,42 +102,39 @@ class CauchyDirichletProblem:
 @functools.cache
 def direction_set(n1, samples):
     """Antipodal unit direction samples in the horizontal layer, read-only.
-    ``samples`` counts them for n1 = 2 only; otherwise the set is the +-e_i
-    and the diagonals (+-e_i +- e_j) / sqrt 2, whatever ``samples`` is."""
+
+    n1 = 1: +e1, -e1 for any ``samples``, the line's unit sphere having only
+    those two points.  n1 = 2: ``samples`` equally spaced angles.  n1 >= 3:
+    +e1, -e1, +e2, ... as exact axis vectors, then (samples - 2 n1) / 2 pairs
+    +-v_j, j = 1, 2, ...: point j of the Kronecker (R_d) sequence frac(j
+    alpha), alpha_k = phi^-k with phi^(n1+1) = phi + 1, mapped to a Gaussian
+    point by the inverse normal CDF and normalized.  (Normalizing the cube
+    points frac(j alpha) - 1/2 instead repeats directions: point 3j is 3 times
+    point j near the centre.)  No random numbers, so a larger count keeps
+    every direction of a smaller one.  Below 2 n1 samples raises ValueError."""
     if n1 == 2:
         angles = 2.0 * np.pi * np.arange(samples) / samples
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         # snap round-off (cos(pi/2) = 6e-17) so quadrant directions are exact
         snapped = np.round(dirs) + 0.0
         dirs = np.where(np.abs(dirs - snapped) < 1e-12, snapped, dirs)
+    elif n1 == 1:
+        dirs = np.array([[1.0], [-1.0]])
+    elif samples < 2 * n1:
+        raise ValueError(f"direction_samples must be at least 2 n1 = {2 * n1} on a "
+                         f"horizontal layer of dimension {n1}, got {samples}")
     else:
-        dirs = []
-        for i in range(n1):
-            for s in (1.0, -1.0):
-                v = np.zeros(n1)
-                v[i] = s
-                dirs.append(v)
-        for i in range(n1):
-            for j in range(i + 1, n1):
-                for si in (1.0, -1.0):
-                    for sj in (1.0, -1.0):
-                        v = np.zeros(n1)
-                        v[i] = si
-                        v[j] = sj
-                        dirs.append(v / np.sqrt(2.0))
-        dirs = np.array(dirs)
+        phi = 2.0
+        for _ in range(64):                     # the root of phi^(n1+1) = phi + 1
+            phi = (1.0 + phi) ** (1.0 / (n1 + 1))
+        j = np.arange(1, (samples - 2 * n1) // 2 + 1)[:, None]
+        gauss = np.frompyfunc(statistics.NormalDist().inv_cdf, 1, 1)
+        v = gauss(j * phi ** -np.arange(1.0, n1 + 1) % 1.0).astype(float)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        dirs = np.concatenate([np.kron(np.eye(n1), [[1.0], [-1.0]]) + 0.0,   # no -0.0
+                               np.stack([v, -v], axis=1).reshape(-1, n1)])
     dirs.setflags(write=False)
     return dirs
-
-
-def _norm(components):
-    """Euclidean norm over equally shaped components, summed in order: for
-    the columns of an array a, the sums of np.linalg.norm(a, axis=1) below 8
-    columns, without its slow short reduce."""
-    sq = components[0] * components[0]
-    for c in components[1:]:
-        sq += c * c
-    return np.sqrt(sq)
 
 
 _held = {}      # the most recent geometry: at most one key and its arrays
@@ -182,7 +165,10 @@ def _cpus():
 def _bands(matrix):
     """The matrix's rows cut into one band per CPU of about equal weight,
     each at least BAND_WEIGHTS: (rows, csr_array) pairs whose ``data`` and
-    ``indices`` are views of the matrix's; () where that is under two bands."""
+    ``indices`` are views of the matrix's; () where that is under two bands,
+    as on a process restricted to one CPU (``taskset -c 0``).  Every row's
+    sum is the one the whole product computes, so the bands' products are
+    bit-identical to it."""
     n = min(_cpus(), matrix.nnz // BAND_WEIGHTS)
     if n < 2:
         return ()
@@ -265,10 +251,13 @@ class Scheme:
 
     The geometry's arrays are built once per content key and shared,
     read-only, by every Scheme of equal content while its key is the most
-    recent one; the horizon, h, the data and the step settings are not part
-    of the key.  With a ``node_subset`` of interior nodes, the node arrays
-    (``coords``, ``lateral``, a stack's columns) run over the subset and the
-    nodes its stencil rows read only, in ascending flat-index order."""
+    recent one: the pairs of a comparison block, the h of an h-limit sweep,
+    the experiments of one ``verify``.  The horizon, h, the data and the step
+    settings are not part of the key.  A new key drops the held geometry
+    before its own build, so the module never holds two.  With a
+    ``node_subset`` of interior nodes, the node arrays (``coords``,
+    ``lateral``, a stack's columns) run over the subset and the nodes its
+    stencil rows read only, in ascending flat-index order."""
 
     def __init__(self, problem, config=None, node_subset=None):
         config = config or SolverConfig()
@@ -302,6 +291,8 @@ class Scheme:
         global _pool
         if _pool is None:
             _pool = ThreadPoolExecutor(max(1, _cpus() - 1), "carnotpde-apply")
+        # each band's own thread writes its slice: one concatenate of the
+        # products would copy them all in this thread
         out = np.empty(self.matrix.shape[0])
         (rows, first), *rest = self.bands
         pending = [_pool.submit(_band_product, band, u, out[r]) for r, band in rest]
@@ -312,10 +303,9 @@ class Scheme:
 
     def gradient(self, W):
         """Central differences along the layer-1 axes from the +-e_i rows of
-        one field's apply: one (K,) array per axis."""
+        one field's apply, shape (n1, K)."""
         W = W[self._grad_start:]
-        return [(W[2 * i] - W[2 * i + 1]) / (2.0 * self.delta)
-                for i in range(len(W) // 2)]
+        return (W[0::2] - W[1::2]) / (2.0 * self.delta)
 
     def kappa(self, u, W):
         """Median curvature (max + min of flow neighbors - 2u) / delta^2 of
@@ -330,7 +320,12 @@ class Scheme:
         W = self.apply(u)
         op, cap = self.kappa(u, W), 1.0
         if h != 1.0:
-            grad = _norm(self.gradient(W))
+            # the squares summed axis by axis, not by numpy's slow short reduce
+            g = self.gradient(W)
+            sq = g[0] * g[0]
+            for c in g[1:]:
+                sq += c * c
+            grad = np.sqrt(sq)
             op *= grad ** (h - 1.0)
             cap = max(1.0, float(grad.max()) ** (h - 1.0))
         return op, cfl_factor * self.delta ** 2 / (2.0 * cap)
@@ -565,7 +560,7 @@ def solve_elliptic_steady(problem, config=None, scheme=None):
             break
         u[I] += du
         r_prev = r
-    return GridFunction(problem.grid, _bracket(scheme, field, config), np.inf)
+    return GridFunction(problem.grid, _bracket(scheme, u, field, config), np.inf)
 
 
 def _policy_system(scheme, a, b):
@@ -623,11 +618,11 @@ def _certify(scheme, u, phi, eps):
     return None
 
 
-def _bracket(scheme, field, config):
+def _bracket(scheme, u, field, config):
     """Sweeps of T from the constant data minimum and maximum (boundary held
-    at g), until they are within steady_tolerance; the midpoint."""
+    at g, as in u), until they are within steady_tolerance; the midpoint."""
     I = scheme.interior_flat
-    lo, hi = field.initial(), field.initial()
+    lo, hi = u.copy(), u.copy()
     lo[I], hi[I] = field.data_min, field.data_max
     for _ in range(MAX_STEPS):
         if (hi - lo).max() < config.steady_tolerance:

@@ -23,7 +23,6 @@ from carnotpde.solver import (
     SolverConfig,
     SolverError,
     Stack,
-    _norm,
     direction_set,
     march,
     solve_elliptic_steady,
@@ -51,7 +50,7 @@ def at_node(problem, node, config=None):
 
 def gradient_at(problem, node, config=None):
     scheme, _, W = at_node(problem, node, config)
-    return np.array([d[0] for d in scheme.gradient(W)])
+    return scheme.gradient(W)[:, 0]
 
 
 def second_difference(problem, node, eta):
@@ -150,9 +149,6 @@ def test_direction_sets():
     # even sample counts close the set under negation
     for v in d2:
         assert np.abs(d2 + v).sum(axis=1).min() < 1e-12
-    d3 = direction_set(3, 16)
-    assert d3.shape == (6 + 12, 3)
-    assert np.allclose(np.linalg.norm(d3, axis=1), 1.0)
     # with samples % 4 == 0 the quadrant directions are exact axis vectors,
     # so the gradient's +-e_i rows are rows of the kappa stencils
     d16 = direction_set(2, 16)
@@ -160,19 +156,28 @@ def test_direction_sets():
         assert (d16 == axis).all(axis=1).any()
     # the Scheme puts the +-e_i after the other directions in the order
     # +e1, -e1, +e2, ...: the ones a set holds must lead that order
-    for n1, samples in [(1, 4), (3, 4)] + [(2, s) for s in range(4, 40)]:
+    for n1, samples in [(1, 4), (3, 6), (3, 16)] + [(2, s) for s in range(4, 40)]:
         axes = np.kron(np.eye(n1), [[1.0], [-1.0]])
         held = [(direction_set(n1, samples) == a).all(axis=1).any() for a in axes]
         assert held == sorted(held, reverse=True)
 
 
-def test_row_norms_match_numpy_norm():
-    # the column-by-column sums must reproduce np.linalg.norm bit for bit
-    # for every horizontal dimension the presets and small custom groups use
-    rng = np.random.default_rng(3)
-    for n1 in range(1, 8):
-        a = rng.normal(size=(500, n1)) * rng.uniform(0.0, 10.0, (500, 1))
-        assert np.array_equal(_norm(a.T), np.linalg.norm(a, axis=1))
+@pytest.mark.parametrize("n1", [3, 4])
+def test_direction_samples_refine_the_set_for_three_axes_and_more(n1):
+    axes = np.kron(np.eye(n1), [[1.0], [-1.0]])
+    for samples in (2 * n1, 16, 64):
+        d = direction_set(n1, samples)
+        assert d.shape == (samples, n1)
+        assert np.abs(np.linalg.norm(d, axis=1) - 1.0).max() <= 1e-15
+        assert all((d == -v).all(axis=1).any() for v in d)
+        cosines = d @ d.T
+        np.fill_diagonal(cosines, -1.0)
+        assert cosines.max() < 1.0 - 1e-6         # no direction twice
+        # +e1, -e1, +e2, ... lead the set, exact and without a -0.0
+        assert np.array_equal(d[:2 * n1].view(np.int64), (axes + 0.0).view(np.int64))
+    assert np.array_equal(direction_set(n1, 64)[:16], direction_set(n1, 16))
+    with pytest.raises(ValueError, match=f"at least 2 n1 = {2 * n1}"):
+        direction_set(n1, 2 * n1 - 2)
 
 
 # -- node-wise oracles -----------------------------------------------
@@ -331,13 +336,12 @@ def test_schemes_of_other_content_build_their_own_geometry():
 
 
 def test_direction_counts_that_give_one_set_share_one_geometry():
-    # the direction count changes the set only when n1 = 2
-    for n1 in (1, 3):
-        prob = make_problem(euclidean_group(n1), ((0, 1),) * n1, (4,) * n1, 2.0, "x1")
-        first = Scheme(prob, SolverConfig(direction_samples=4)).matrix
-        assert Scheme(prob, SolverConfig(direction_samples=16)).matrix is first
-        with pytest.raises(ValueError, match="read-only"):
-            direction_set(n1, 4)[0, 0] = 0.0
+    # on the line every direction count gives the set +-e1
+    prob = make_problem(euclidean_group(1), ((0, 1),), (4,), 2.0, "x1")
+    first = Scheme(prob, SolverConfig(direction_samples=4)).matrix
+    assert Scheme(prob, SolverConfig(direction_samples=16)).matrix is first
+    with pytest.raises(ValueError, match="read-only"):
+        direction_set(1, 4)[0, 0] = 0.0
 
 
 def test_cached_geometry_is_read_only():
@@ -841,6 +845,24 @@ def test_elliptic_steady_constant_datum(monkeypatch):
     steady = solve_elliptic_steady(prob, SolverConfig())
     assert np.abs(steady.values - 3.0).max() <= 1e-14
     assert len(calls) == 1
+
+
+def test_the_elliptic_solve_reads_its_datum_once(monkeypatch):
+    # psi on every node, then g on the lateral nodes; the bracket fallback
+    # starts from the values the solve holds and evaluates nothing
+    calls = []
+    evaluate = ScalarField.__call__
+
+    def spy(field, coords, t=0.0):
+        calls.append(len(coords))
+        return evaluate(field, coords, t)
+
+    prob = make_problem(heisenberg_group(), ((-1, 1),) * 3, (6, 6, 6), 2.0, "3")
+    bracket = _spy_on_bracket(monkeypatch)
+    monkeypatch.setattr(ScalarField, "__call__", spy)
+    solve_elliptic_steady(prob, SolverConfig())
+    assert len(bracket) == 1
+    assert calls == [prob.grid.node_count, int(prob.grid.lateral_mask().sum())]
 
 
 def test_elliptic_steady_is_certified_on_heisenberg(monkeypatch):

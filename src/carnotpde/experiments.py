@@ -90,30 +90,31 @@ def _digest(problem, config, **extra):
 # -- exact scheme identities -----------------------------------------
 
 
-def comparison_experiment(problem, config, u0, v0):
-    """Evolve an ordered pair with a shared time step; the gap never flips sign."""
-    grid = problem.grid
+def _pair_march(problem, config, f1, f2):
+    """One scheme and a two-field stack, each field f with psi = g = f,
+    marched to the horizon: yields the stack at t = 0 and after every step."""
     scheme = Scheme(problem, config)
-    stack = Stack([Binding(scheme, u0, u0, problem.h),
-                   Binding(scheme, v0, v0, problem.h)])
-    gap = stack.U[0] - stack.U[1]
-    worst, worst_at = float(gap.max()), (int(np.argmax(gap)), 0.0)
-    if worst > 1e-12:
-        raise PreconditionError(
-            f"initial data are not ordered: max(u0 - v0) = {worst:.3e} > 0")
-    # the stack's rows cover the lateral nodes at t = 0; their data can
-    # change with t only when a field names it
-    if u0.time_dependent or v0.time_dependent:
-        for t in np.linspace(0.0, grid.horizon, 9)[1:]:
-            bgap = float((u0(scheme.coords_lateral, t)
-                          - v0(scheme.coords_lateral, t)).max())
-            if bgap > 1e-12:
-                raise PreconditionError(
-                    f"boundary data are not ordered at t={t:.3g}: gap {bgap:.3e}")
-    for _ in march(stack, config, [grid.horizon]):
+    stack = Stack([Binding(scheme, f, f, problem.h) for f in (f1, f2)])
+    yield stack
+    yield from march(stack, config, [problem.grid.horizon])
+
+
+def comparison_experiment(problem, config, u0, v0):
+    """Evolve an ordered pair with a shared time step; the gap never flips
+    sign.  The data's order is read from the march's rows: every node at
+    t = 0, the lateral nodes at each later level."""
+    worst = -np.inf
+    for stack in _pair_march(problem, config, u0, v0):
         gap = stack.U[0] - stack.U[1]
-        if gap.max() > worst:
-            worst, worst_at = float(gap.max()), (int(np.argmax(gap)), stack.t)
+        top = float(gap.max())
+        if top > 1e-12:     # the data's gap is at most top: an ordered pair reads none
+            data = gap[stack.scheme.lateral] if stack.steps else gap
+            if data.max() > 1e-12:
+                raise PreconditionError(
+                    f"{'boundary' if stack.steps else 'initial'} data are not ordered "
+                    f"at t={stack.t:.3g}: max(u - v) = {data.max():.3e} > 0")
+        if top > worst:
+            worst, worst_at = top, (int(np.argmax(gap)), stack.t)
     passed = worst <= 1e-12
     detail = "" if passed else f"ordering violated at node {worst_at[0]}, t={worst_at[1]:.6g}"
     return ExperimentReport(
@@ -126,14 +127,11 @@ def boundary_stability_experiment(problem, config, g1, g2):
     """Two boundary data, one scheme: interior gap stays below the data gap,
     taken over every data value the march reads: the initial slice and the
     lateral nodes of every time level."""
-    scheme = Scheme(problem, config)
-    stack = Stack([Binding(scheme, g1, g1, problem.h),
-                   Binding(scheme, g2, g2, problem.h)])
-    gap = np.abs(stack.U[0] - stack.U[1])
-    data_gap = sol_gap = float(gap.max())         # initial slice
-    for _ in march(stack, config, [problem.grid.horizon]):
+    data_gap = sol_gap = 0.0
+    for stack in _pair_march(problem, config, g1, g2):
         gap = np.abs(stack.U[0] - stack.U[1])
-        data_gap = max(data_gap, float(gap[scheme.lateral].max()))
+        read = gap[stack.scheme.lateral] if stack.steps else gap
+        data_gap = max(data_gap, float(read.max()))
         sol_gap = max(sol_gap, float(gap.max()))
     bound = data_gap + 1e-10
     return ExperimentReport(
@@ -368,26 +366,6 @@ def _run_boundary_stability(problem, config, rng):
                                          problem.g + shift)
 
 
-def _run_sup_bound(problem, config, rng):
-    return sup_bound_experiment(problem, config)
-
-
-def _run_homogeneity(problem, config, rng):
-    return homogeneity_experiment(problem, config, k=2.0)
-
-
-def _run_long_time(problem, config, rng):
-    return long_time_experiment(problem, config)
-
-
-def _run_h_limit(problem, config, rng):
-    return h_limit_experiment(problem, config)
-
-
-def _run_commuting(problem, config, rng):
-    return commuting_diagram_experiment(problem, config)
-
-
 def _run_doubling(problem, config, rng):
     # Canonical 17x17 planar demonstration: the tau range is capped so the
     # optimal pair displacement stays grid-resolved (several spacings wide);
@@ -404,20 +382,19 @@ def _run_doubling(problem, config, rng):
     return doubling_penalty_experiment(G, u, v, PenaltySpec(), taus)
 
 
-def _run_jet_twist(problem, config, rng):
-    return jet_twist_oracle_check(problem.group, rng=rng)
-
-
+# name -> experiment(problem, config, rng), its settings drawn from the problem and rng
 EXPERIMENTS = {
     "comparison": _run_comparison,
     "boundary_stability": _run_boundary_stability,
-    "sup_bound": _run_sup_bound,
-    "homogeneity": _run_homogeneity,
-    "long_time": _run_long_time,
-    "h_limit": _run_h_limit,
-    "commuting_diagram": _run_commuting,
+    "sup_bound": lambda problem, config, rng: sup_bound_experiment(problem, config),
+    "homogeneity": lambda problem, config, rng: homogeneity_experiment(problem, config, k=2.0),
+    "long_time": lambda problem, config, rng: long_time_experiment(problem, config),
+    "h_limit": lambda problem, config, rng: h_limit_experiment(problem, config),
+    "commuting_diagram":
+        lambda problem, config, rng: commuting_diagram_experiment(problem, config),
     "doubling_penalty": _run_doubling,
-    "jet_twist_oracle": _run_jet_twist,
+    "jet_twist_oracle":
+        lambda problem, config, rng: jet_twist_oracle_check(problem.group, rng=rng),
 }
 
 

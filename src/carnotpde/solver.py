@@ -77,7 +77,9 @@ class SolverConfig:
             raise ValueError("direction_samples must be a finite even count of at least 4")
         for name in ("steady_tolerance", "stencil_radius"):
             value = getattr(self, name)
-            if value is not None and not 0.0 < value < np.inf:
+            if value is None and name == "stencil_radius":    # the grid spacing
+                continue
+            if value is None or not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -422,12 +424,17 @@ def march(stack, config, stops=None):
     without, it runs until the caller stops asking.  Every step checks each
     field against the envelope of the data it has read (the discrete maximum
     principle, ``Stack.max_principle_ok``); the march raises SolverError past
-    ``MAX_STEPS``.
+    ``MAX_STEPS``, and ValueError before its first step on a node-subset
+    geometry, whose rows read nodes that it would never update.
     """
+    scheme = stack.scheme
+    if len(scheme.interior_flat) + np.count_nonzero(scheme.lateral) < len(scheme.lateral):
+        raise ValueError("a node-subset geometry cannot be marched: its rows read "
+                         "nodes that no step updates")
     stops = None if stops is None else iter(stops)
     stop = np.inf if stops is None else next(stops, None)
     while stop is not None:
-        stack.scheme.step(stack, config, stop)
+        scheme.step(stack, config, stop)
         if stack.steps > MAX_STEPS:
             raise SolverError(f"exceeded MAX_STEPS={MAX_STEPS}")
         stack.at_stop = (stops is not None
@@ -524,15 +531,15 @@ def solve_elliptic_steady(problem, config=None, scheme=None):
     1, the fields u +- eps phi (eps a few r plus round-off at the data scale)
     are checked to be a super- and a subsolution of T; the comparison
     principle then puts u* between them.  Where that check fails (exact
-    argmax ties, e.g. a constant datum) the fixed point is bracketed instead
-    by sweeps of T from the constant data minimum and maximum.
+    argmax ties: a constant datum, plateaus of max, min or abs, data in x3
+    alone on Heisenberg) the fixed point is bracketed instead by sweeps of T
+    from the constant minimum and maximum of g on the lateral nodes.
     """
     config = config or SolverConfig()
     scheme = Scheme.of(problem, config, scheme)
-    field = Binding(scheme, problem.g, problem.g, problem.h)
-    u = field.initial()
+    u = np.array(problem.g(scheme.coords, 0.0), dtype=float)
     I = scheme.interior_flat
-    round_off = 64.0 * np.finfo(float).eps * max(-field.data_min, field.data_max)
+    round_off = 64.0 * np.finfo(float).eps * np.abs(u[scheme.lateral]).max()
     policy, phi, seen, r_prev = None, None, set(), np.inf
     for _ in range(MAX_STEPS):
         W = scheme.apply(u)[:scheme.n_kappa]
@@ -560,7 +567,7 @@ def solve_elliptic_steady(problem, config=None, scheme=None):
             break
         u[I] += du
         r_prev = r
-    return GridFunction(problem.grid, _bracket(scheme, u, field, config), np.inf)
+    return GridFunction(problem.grid, _bracket(scheme, u, config), np.inf)
 
 
 def _policy_system(scheme, a, b):
@@ -618,12 +625,12 @@ def _certify(scheme, u, phi, eps):
     return None
 
 
-def _bracket(scheme, u, field, config):
-    """Sweeps of T from the constant data minimum and maximum (boundary held
-    at g, as in u), until they are within steady_tolerance; the midpoint."""
+def _bracket(scheme, u, config):
+    """Sweeps of T from the constant extremes of u's lateral entries (boundary
+    held as in u), until they are within steady_tolerance; the midpoint."""
     I = scheme.interior_flat
     lo, hi = u.copy(), u.copy()
-    lo[I], hi[I] = field.data_min, field.data_max
+    lo[I], hi[I] = u[scheme.lateral].min(), u[scheme.lateral].max()
     for _ in range(MAX_STEPS):
         if (hi - lo).max() < config.steady_tolerance:
             return 0.5 * (lo + hi)

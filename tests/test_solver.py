@@ -74,6 +74,9 @@ def test_solver_config_validation():
         SolverConfig(cfl_factor=1.5)
     with pytest.raises(ValueError):
         SolverConfig(direction_samples=2)
+    # None means the grid spacing for stencil_radius only
+    with pytest.raises(ValueError, match="steady_tolerance"):
+        SolverConfig(steady_tolerance=None)
 
 
 @pytest.mark.parametrize("setting", [
@@ -284,6 +287,19 @@ def test_node_subset_matches_full_evaluation():
     assert len(part.coords) < prob.grid.node_count
     op_part, _ = part.discrete_operator(prob.psi(part.coords, 0.0), 2.0)
     assert np.array_equal(op_part, op_full[[5, 40, 100]])
+
+
+def test_march_refuses_a_node_subset_geometry():
+    # a subset's rows read nodes that no step would update
+    prob = make_problem(heisenberg_group(), ((-1, 1),) * 3, (8, 8, 8), 2.0,
+                        "x1**2 - x2*x3", horizon=0.05)
+    full = Scheme(prob)
+    part = Scheme(prob, node_subset=full.interior_flat[[5, 40, 100]])
+    stack = Stack.of(part, prob)
+    with pytest.raises(ValueError, match="node-subset"):
+        next(march(stack, SolverConfig(), [prob.grid.horizon]))
+    assert stack.steps == 0
+    assert next(march(Stack.of(full, prob), SolverConfig())).steps == 1
 
 
 # -- the geometry cache ----------------------------------------------
@@ -848,8 +864,8 @@ def test_elliptic_steady_constant_datum(monkeypatch):
 
 
 def test_the_elliptic_solve_reads_its_datum_once(monkeypatch):
-    # psi on every node, then g on the lateral nodes; the bracket fallback
-    # starts from the values the solve holds and evaluates nothing
+    # g on every node; the bracket fallback starts from the values the solve
+    # holds and evaluates nothing
     calls = []
     evaluate = ScalarField.__call__
 
@@ -862,7 +878,37 @@ def test_the_elliptic_solve_reads_its_datum_once(monkeypatch):
     monkeypatch.setattr(ScalarField, "__call__", spy)
     solve_elliptic_steady(prob, SolverConfig())
     assert len(bracket) == 1
-    assert calls == [prob.grid.node_count, int(prob.grid.lateral_mask().sum())]
+    assert calls == [prob.grid.node_count]
+
+
+def test_the_elliptic_fallback_sweeps_to_the_fixed_point(monkeypatch):
+    # a datum in x3 alone ties the argmax on 6 directions, so the certificate
+    # fails and the bracket sweeps from the lateral envelope [0.3, 1.5]
+    brackets, sweeps = [], []
+    bracket, sweep = solver._bracket, solver._sweep
+
+    def spy_bracket(scheme, u, config):
+        brackets.append(u[scheme.lateral].copy())
+        sweeps.clear()
+        return bracket(scheme, u, config)
+
+    def spy_sweep(*args):
+        sweeps.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(solver, "_bracket", spy_bracket)
+    monkeypatch.setattr(solver, "_sweep", spy_sweep)
+    prob = make_problem(heisenberg_group(), ((-1, 1),) * 3, (8, 8, 8), 2.0,
+                        "abs(0.9 - 0.6*x3)")
+    config = SolverConfig(direction_samples=6)
+    steady = solve_elliptic_steady(prob, config)
+    monkeypatch.undo()
+    (lateral,) = brackets
+    assert (lateral.min(), lateral.max()) == pytest.approx((0.3, 1.5), abs=1e-12)
+    assert len(sweeps) >= 1
+    lo, hi = _swept_bracket(prob, config)
+    assert (lo - config.steady_tolerance <= steady.values).all()
+    assert (steady.values <= hi + config.steady_tolerance).all()
 
 
 def test_elliptic_steady_is_certified_on_heisenberg(monkeypatch):

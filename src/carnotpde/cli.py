@@ -197,7 +197,10 @@ def run_solve(config, out_dir, quiet):
         "delta": problem.grid.delta,
         "dt": result.dt_last,
         "cfl_factor": config.solver.cfl_factor,
+        "direction_samples": config.solver.direction_samples,
         "steps": result.steps,
+        "max_principle_ok": result.max_principle_ok,
+        "data_min": result.data_min, "data_max": result.data_max,
         "snapshots": [s.time_level for s in result.snapshots],
     }
     with open(out / "metadata.json", "w") as handle:

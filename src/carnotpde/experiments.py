@@ -82,6 +82,8 @@ def _digest(problem, config, **extra):
         "h": problem.h,
         "cfl_factor": config.cfl_factor,
         "direction_samples": config.direction_samples,
+        "steady_tolerance": config.steady_tolerance,
+        "stencil_radius": config.stencil_radius,
     }
     d.update(extra)
     return d

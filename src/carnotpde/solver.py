@@ -31,11 +31,12 @@ field's row, whose gradient rows give its speed and CFL step, and one min and
 max of each updated row check that it is finite and in its envelope.
 
 ``solve_elliptic_steady`` finds the fixed point of the same max + min map by
-policy iteration (one sparse linear solve per switch of each node's argmax
-and argmin directions, by a numpy BiCGSTAB) and certifies it: a checked
-super- and subsolution around it bound the error through the discrete
-comparison principle.  Where the check fails it falls back to sweeps from the
-data extremes, which bracket the fixed point from both sides.
+policy iteration (one linear solve per switch of each node's argmax and
+argmin directions, dense up to ``DENSE_UNKNOWNS`` interior nodes and by a
+numpy BiCGSTAB above) and certifies it: a checked super- and subsolution
+around it bound the error through the discrete comparison principle.  Where
+the check fails it falls back to sweeps from the data extremes, which
+bracket the fixed point from both sides.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ MAX_STEPS = 2_000_000     # march steps, policy rounds or bracket sweeps per sol
 # Least stored weights per row band of a threaded apply: on 2 CPUs two bands
 # break even with one product near 3.5e5 weights (Heisenberg 17^3).
 BAND_WEIGHTS = 2 ** 19
+# Most unknowns of a policy system solved densely: the elliptic solve breaks
+# even near 170 on Engel, 180-216 on Heisenberg and above 511 on a line.
+DENSE_UNKNOWNS = 160
 
 
 class SolverError(RuntimeError):
@@ -358,8 +362,8 @@ class Scheme:
 class Binding:
     """One field's data on a Scheme's geometry: initial datum psi, lateral
     datum g and exponent h.  g's lateral values are evaluated once when g
-    does not depend on t and once per time level otherwise; data_min and
-    data_max bound every data value read so far."""
+    does not depend on t and once per time level otherwise, and not at t = 0
+    when g is psi; data_min and data_max bound every data value read so far."""
 
     def __init__(self, scheme, psi, g, h):
         self.scheme, self.psi, self.g, self.h = scheme, psi, g, h
@@ -383,6 +387,8 @@ class Binding:
     def initial(self):
         """psi at every node, g at the lateral ones, at t = 0; warns where they differ."""
         values = np.array(self.psi(self.scheme.coords, 0.0), dtype=float)
+        if self.g is self.psi:                # g's lateral values are read already
+            self._lateral = (0.0, self.record(values[self.scheme.lateral]))
         lateral = self.lateral(0.0)
         gap = np.abs(lateral - values[self.scheme.lateral]).max(initial=0.0)
         if gap > 1e-12:
@@ -525,15 +531,17 @@ def solve_elliptic_steady(problem, config=None, scheme=None):
     Policy iteration: from u, each interior node's argmax and argmin
     directions (a, b) fix the linear map T_ab(u) = (W_a + W_b) / 2, with
     T_ab(u) = T(u) at u; the correction (I - A_ab) du = T(u) - u on the
-    interior moves u to T_ab's fixed point.  Rounds repeat until the policy
-    does, at most ``MAX_STEPS`` of them.  Certificate: with r =
-    max|T(u) - u| and phi the exit time of the final policy, (I - A_ab) phi =
-    1, the fields u +- eps phi (eps a few r plus round-off at the data scale)
-    are checked to be a super- and a subsolution of T; the comparison
-    principle then puts u* between them.  Where that check fails (exact
-    argmax ties: a constant datum, plateaus of max, min or abs, data in x3
-    alone on Heisenberg) the fixed point is bracketed instead by sweeps of T
-    from the constant minimum and maximum of g on the lateral nodes.
+    interior, solved densely up to ``DENSE_UNKNOWNS`` unknowns and by
+    BiCGSTAB above, moves u to T_ab's fixed point.  Rounds repeat until the
+    policy does, at most ``MAX_STEPS`` of them, or until a correction is
+    singular or not finite.  Certificate: with r = max|T(u) - u| and phi the
+    exit time of the final policy, (I - A_ab) phi = 1, the fields u +- eps
+    phi (eps a few r plus round-off at the data scale) are checked to be a
+    super- and a subsolution of T; the comparison principle then puts u*
+    between them.  Where that check fails (exact argmax ties: a constant
+    datum, plateaus of max, min or abs, data in x3 alone on Heisenberg) the
+    fixed point is bracketed instead by sweeps of T from the constant minimum
+    and maximum of g on the lateral nodes.
     """
     config = config or SolverConfig()
     scheme = Scheme.of(problem, config, scheme)
@@ -553,16 +561,16 @@ def solve_elliptic_steady(problem, config=None, scheme=None):
                 break
             seen.add(key)
             policy, phi = key, None
-            system = _policy_system(scheme, a, b)
+            solve = _policy_system(scheme, a, b)
         if repeated or r <= round_off:
             if phi is None:
-                phi = _bicgstab(system, np.ones(len(I)), 1e-4)
+                phi = solve(np.ones(len(I)), 1e-4)
             gap = _certify(scheme, u, phi, 4.0 * r + round_off)
             if gap is not None and gap < config.steady_tolerance:
                 return GridFunction(problem.grid, u, np.inf)
             if gap is None or r > 0.5 * r_prev:
                 break
-        du = _bicgstab(system, res, 1e-12)
+        du = solve(res, 1e-12)
         if not np.isfinite(du).all():
             break
         u[I] += du
@@ -571,13 +579,30 @@ def solve_elliptic_steady(problem, config=None, scheme=None):
 
 
 def _policy_system(scheme, a, b):
-    """x -> (I - A_ab) x on the interior, A_ab = (P_a + P_b) / 2 the rows of
-    each node's directions a and b, restricted to the interior columns."""
-    K = len(scheme.interior_flat)
-    k = np.arange(K)
-    M = scheme.matrix
-    A = (0.5 * (M[a * K + k] + M[b * K + k]))[:, scheme.interior_flat]
-    return lambda x: x - A @ x
+    """solve(rhs, rtol): the x of (I - A_ab) x = rhs on the interior, A_ab =
+    (P_a + P_b) / 2 the rows of each node's directions a and b on the
+    interior columns, read from the matrix's CSR arrays: exact and dense up
+    to DENSE_UNKNOWNS unknowns (NaN if singular), else BiCGSTAB to rtol."""
+    M, I = scheme.matrix, scheme.interior_flat
+    K = len(I)
+    rows = (np.stack([a, b], axis=1) * K + np.arange(K)[:, None]).ravel()
+    start, n = M.indptr[rows], M.indptr[rows + 1] - M.indptr[rows]
+    entry = np.arange(n.sum()) + np.repeat(start - np.cumsum(n) + n, n)
+    position = np.full(M.shape[1], -1)          # node -> interior index, -1 lateral
+    position[I] = np.arange(K)
+    row, col = np.repeat(np.arange(K), n[0::2] + n[1::2]), position[M.indices[entry]]
+    keep = col >= 0
+    row, col, half = row[keep], col[keep], 0.5 * M.data[entry[keep]]
+    if K > DENSE_UNKNOWNS:      # sorted and merged, as the canonical P_a + P_b
+        A = scipy.sparse.csr_array((half, (row, col)), shape=(K, K))
+        return lambda rhs, rtol: _bicgstab(lambda x: x - A @ x, rhs, rtol)
+    D = np.eye(K) - np.bincount(row * K + col, half, K * K).reshape(K, K)
+    def solve(rhs, rtol):
+        try:
+            return np.linalg.solve(D, rhs)
+        except np.linalg.LinAlgError:
+            return np.full(K, np.nan)
+    return solve
 
 
 def _bicgstab(matvec, rhs, rtol):

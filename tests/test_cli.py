@@ -245,6 +245,10 @@ def test_solve_writes_csv_and_metadata(tmp_path):
     assert meta["group"] == "euclidean1"
     assert meta["delta"] == pytest.approx(1 / 16)
     assert meta["steps"] > 0
+    assert meta["direction_samples"] == 16
+    # the maximum principle's outcome and the data envelope it was read against
+    assert meta["max_principle_ok"] is True
+    assert (meta["data_min"], meta["data_max"]) == (0.0, 1.0)     # x1*x1 on [0, 1]
 
 
 def per_row_csv(snapshot, path):

@@ -88,8 +88,8 @@ def test_comparison_rejects_unordered_data(heis_problem):
 def test_comparison_precondition_reads_each_time_level_once(
         monkeypatch, heis_problem, offset):
     # u0 and v0 once per time level, by the march's own stack: before the
-    # first step only t = 0 is read (each field at every node as psi, then
-    # at the lateral nodes as g), whether or not a field names t
+    # first step only t = 0 is read, each field at every node as psi, which
+    # is its g too, whether or not a field names t
     calls = []
     evaluate = ScalarField.__call__
 
@@ -109,7 +109,7 @@ def test_comparison_precondition_reads_each_time_level_once(
     v0 = u0 + ScalarField.from_expression(offset, 3)
     with pytest.raises(Stop):
         comparison_experiment(heis_problem, SolverConfig(), u0, v0)
-    assert len(calls) == 4
+    assert len(calls) == 2
     # a pair that leaves its order on the boundary after t = 0 is still caught
     monkeypatch.undo()
     late = u0 + ScalarField.from_expression("40*t - 1", 3)
@@ -283,6 +283,22 @@ def test_doubling_penalty_validation():
     for taus in ([1.0, np.inf], [np.nan]):
         with pytest.raises(PreconditionError, match="tau_sequence"):
             doubling_penalty_experiment(euclidean_group(2), u, u, PenaltySpec(), taus)
+
+
+@pytest.mark.parametrize("name", ["long_time", "commuting_diagram"])
+def test_a_report_records_every_setting_that_changes_it(name, line_problem):
+    # two tolerances give two results, so the ledger's inputs must differ too
+    from dataclasses import replace
+    psi = ScalarField.from_expression("x1 + 0.8*x1*(1 - x1)", 1)
+    reports = [run_experiment(name, replace(line_problem, psi=psi),
+                              SolverConfig(cfl_factor=1.0, steady_tolerance=tol),
+                              np.random.default_rng(5))
+               for tol in (1e-3, 1e-5)]
+    assert reports[0].measured != reports[1].measured
+    assert [r.inputs["steady_tolerance"] for r in reports] == [1e-3, 1e-5]
+    assert all(r.inputs["stencil_radius"] is None for r in reports)
+    assert {k: v for k, v in reports[0].inputs.items() if k != "steady_tolerance"} \
+        == {k: v for k, v in reports[1].inputs.items() if k != "steady_tolerance"}
 
 
 def test_jet_twist_check_across_presets():

@@ -883,32 +883,103 @@ def test_the_elliptic_solve_reads_its_datum_once(monkeypatch):
 
 def test_the_elliptic_fallback_sweeps_to_the_fixed_point(monkeypatch):
     # a datum in x3 alone ties the argmax on 6 directions, so the certificate
-    # fails and the bracket sweeps from the lateral envelope [0.3, 1.5]
-    brackets, sweeps = [], []
-    bracket, sweep = solver._bracket, solver._sweep
-
-    def spy_bracket(scheme, u, config):
-        brackets.append(u[scheme.lateral].copy())
-        sweeps.clear()
-        return bracket(scheme, u, config)
-
-    def spy_sweep(*args):
-        sweeps.append(1)
-        return sweep(*args)
-
-    monkeypatch.setattr(solver, "_bracket", spy_bracket)
-    monkeypatch.setattr(solver, "_sweep", spy_sweep)
-    prob = make_problem(heisenberg_group(), ((-1, 1),) * 3, (8, 8, 8), 2.0,
-                        "abs(0.9 - 0.6*x3)")
+    # fails, with dense (6^3 cells) and Krylov (8^3 cells) policy solves
+    # alike, and the bracket sweeps from the lateral envelope [0.3, 1.5] to g,
+    # affine in x3 and so the fixed point
     config = SolverConfig(direction_samples=6)
+    for cells in (6, 8):
+        brackets, sweeps = [], []
+        bracket, sweep = solver._bracket, solver._sweep
+
+        def spy_bracket(scheme, u, config):
+            brackets.append(u[scheme.lateral].copy())
+            sweeps.clear()
+            return bracket(scheme, u, config)
+
+        def spy_sweep(*args):
+            sweeps.append(1)
+            return sweep(*args)
+
+        monkeypatch.setattr(solver, "_bracket", spy_bracket)
+        monkeypatch.setattr(solver, "_sweep", spy_sweep)
+        prob = make_problem(heisenberg_group(), ((-1, 1),) * 3, (cells,) * 3, 2.0,
+                            "abs(0.9 - 0.6*x3)")
+        steady = solve_elliptic_steady(prob, config)
+        monkeypatch.undo()
+        (lateral,) = brackets
+        assert (lateral.min(), lateral.max()) == pytest.approx((0.3, 1.5), abs=1e-12)
+        assert len(sweeps) >= 1
+        lo, hi = _swept_bracket(prob, config)
+        assert (lo - config.steady_tolerance <= steady.values).all()
+        assert (steady.values <= hi + config.steady_tolerance).all()
+        g = prob.g(prob.grid.coords(), 0.0)
+        assert np.abs(steady.values - g).max() <= config.steady_tolerance
+
+
+_POLICY_CASES = {"line129": (euclidean_group(1), ((0, 1),), (128,), "x1 + 0.8*x1*(1 - x1)"),
+                 "heisenberg6": (heisenberg_group(), ((-1, 1),) * 3, (6, 6, 6),
+                                 "x1*x2 - x3**2 + 0.3*x1"),
+                 "engel4": (engel_group(), ((-1, 1),) * 4, (4, 4, 4, 4),
+                            "x1*x2 - x3**2 + 0.3*x1 + 0.1*x4")}
+
+
+@pytest.mark.parametrize("name", sorted(_POLICY_CASES))
+def test_a_policy_system_solved_both_ways_agrees(monkeypatch, name):
+    # the first policy of the elliptic solve from g, its correction solved
+    # densely and by BiCGSTAB; the Krylov side runs on exactly the matrix of
+    # scipy's row and column indexing, the dense side solves it exactly
+    group, box, cells, expr = _POLICY_CASES[name]
+    prob = make_problem(group, box, cells, 2.0, expr)
+    scheme = Scheme(prob, SolverConfig())
+    u = prob.g(scheme.coords, 0.0)
+    I, K = scheme.interior_flat, len(scheme.interior_flat)
+    W = scheme.apply(u)[:scheme.n_kappa]
+    a, b = W.argmax(axis=0), W.argmin(axis=0)
+    res = 0.5 * (W.max(axis=0) + W.min(axis=0)) - u[I]
+    k, M = np.arange(K), scheme.matrix
+    A = (0.5 * (M[a * K + k] + M[b * K + k]))[:, I]
+    solved = {}
+    for limit in (0, K):
+        monkeypatch.setattr(solver, "DENSE_UNKNOWNS", limit)
+        solved[limit] = solver._policy_system(scheme, a, b)(res, 1e-12)
+    krylov, dense = solved[0], solved[K]
+    assert np.array_equal(krylov, solver._bicgstab(lambda x: x - A @ x, res, 1e-12))
+    scale = np.abs(dense).max()
+    assert np.abs(dense - A @ dense - res).max() <= 1e-13 * scale
+    assert np.abs(krylov - dense).max() <= 1e-10 * scale
+
+
+def test_the_policy_solve_is_dense_on_small_interiors(monkeypatch):
+    # the 129-node line's 127 unknowns take the dense solve, Heisenberg 8^3
+    # cells' 343 the BiCGSTAB one
+    calls = []
+    dense, krylov = np.linalg.solve, solver._bicgstab
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *args: calls.append("dense") or dense(*args))
+    monkeypatch.setattr(solver, "_bicgstab",
+                        lambda *args: calls.append("krylov") or krylov(*args))
+    line = make_problem(euclidean_group(1), ((0, 1),), (128,), 2.0, "x1 + 0.8*x1*(1 - x1)")
+    heis = make_problem(heisenberg_group(), ((-1, 1),) * 3, (8, 8, 8), 2.0,
+                        "x1*x2 - x3**2 + 0.3*x1")
+    for prob, path in ((line, "dense"), (heis, "krylov")):
+        calls.clear()
+        solve_elliptic_steady(prob, SolverConfig())
+        assert calls and set(calls) == {path}
+
+
+def test_a_singular_dense_policy_solve_falls_back_to_the_bracket(monkeypatch):
+    # a LinAlgError from the dense solve takes the non-finite correction's
+    # route: the bracket, not an exception
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    calls = _spy_on_bracket(monkeypatch)
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    prob = make_problem(euclidean_group(1), ((0, 1),), (32,), 2.0, "x1 + 0.8*x1*(1 - x1)")
+    config = SolverConfig()
     steady = solve_elliptic_steady(prob, config)
-    monkeypatch.undo()
-    (lateral,) = brackets
-    assert (lateral.min(), lateral.max()) == pytest.approx((0.3, 1.5), abs=1e-12)
-    assert len(sweeps) >= 1
-    lo, hi = _swept_bracket(prob, config)
-    assert (lo - config.steady_tolerance <= steady.values).all()
-    assert (steady.values <= hi + config.steady_tolerance).all()
+    assert len(calls) == 1
+    assert np.abs(steady.values - prob.grid.coords()[:, 0]).max() <= config.steady_tolerance
 
 
 def test_elliptic_steady_is_certified_on_heisenberg(monkeypatch):

@@ -3,10 +3,12 @@
 Each experiment runs a concrete numerical setup, measures the quantities a
 statement constrains, and reports pass/fail against the stated bound.  The
 exact scheme identities (comparison, boundary stability, sup bound,
-homogeneity) are checked at round-off tolerances; the asymptotic statements
-(decay, long-time limit, h -> 1 limit, commuting diagram) carry
-grid-scaled tolerances, with the fixed settings ``DECAY_PAIRS`` and
-``H_SEQUENCE``.  The registry, ``run_experiment``, times each run.
+homogeneity) are checked at round-off tolerances; the first three read one
+pair run, a stack marched to the horizon and read at every level from
+t = 0.  The asymptotic statements (decay, long-time limit, h -> 1 limit,
+commuting diagram) carry grid-scaled tolerances, with the fixed settings
+``DECAY_PAIRS`` and ``H_SEQUENCE``.  The registry, ``run_experiment``, times
+each run.
 """
 
 from __future__ import annotations
@@ -92,68 +94,72 @@ def _digest(problem, config, **extra):
 # -- exact scheme identities -----------------------------------------
 
 
-def _pair_march(problem, config, f1, f2):
-    """One scheme and a two-field stack, each field f with psi = g = f,
-    marched to the horizon: yields the stack at t = 0 and after every step."""
+def _pair_run(problem, config, data):
+    """A stack of one or two fields, each a (psi, g) pair, marched on one
+    Scheme to the horizon, and what it read over every level from t = 0: the
+    largest u - v (u the first field, v the last: 0 for one field), with node
+    and time; the largest u - v over the data read (every node at t = 0, the
+    lateral nodes after), with time; max |u - v| of both; the solution sup,
+    the sup of the fields' data envelopes and ``max_principle_ok``."""
     scheme = Scheme(problem, config)
-    stack = Stack([Binding(scheme, f, f, problem.h) for f in (f1, f2)])
-    yield stack
-    yield from march(stack, config, [problem.grid.horizon])
+    stack = Stack([Binding(scheme, psi, g, problem.h) for psi, g in data])
+    top = read_top = hi = -np.inf
+    low = read_low = lo = np.inf
+    for _ in itertools.chain([stack], march(stack, config, [problem.grid.horizon])):
+        diff = stack.U[0] - stack.U[-1]
+        read = diff[scheme.lateral] if stack.steps else diff
+        level_top, level_read_top = float(diff.max()), float(read.max())
+        if level_top > top:
+            top, top_at = level_top, (int(np.argmax(diff)), stack.t)
+        if level_read_top > read_top:
+            read_top, read_t = level_read_top, stack.t
+        low, read_low = min(low, float(diff.min())), min(read_low, float(read.min()))
+        hi, lo = max(hi, float(stack.U.max())), min(lo, float(stack.U.min()))
+    return dict(max_diff=top, max_diff_at=top_at, data_diff=read_top, data_diff_t=read_t,
+                sol_gap=max(0.0, top, -low), data_gap=max(0.0, read_top, -read_low),
+                sup_solution=max(hi, -lo), max_principle_ok=stack.max_principle_ok,
+                sup_data=max(max(-f.data_min, f.data_max) for f in stack.fields))
 
 
 def comparison_experiment(problem, config, u0, v0):
     """Evolve an ordered pair with a shared time step; the gap never flips
     sign.  The data's order is read from the march's rows: every node at
     t = 0, the lateral nodes at each later level."""
-    worst = -np.inf
-    for stack in _pair_march(problem, config, u0, v0):
-        gap = stack.U[0] - stack.U[1]
-        top = float(gap.max())
-        if top > 1e-12:     # the data's gap is at most top: an ordered pair reads none
-            data = gap[stack.scheme.lateral] if stack.steps else gap
-            if data.max() > 1e-12:
-                raise PreconditionError(
-                    f"{'boundary' if stack.steps else 'initial'} data are not ordered "
-                    f"at t={stack.t:.3g}: max(u - v) = {data.max():.3e} > 0")
-        if top > worst:
-            worst, worst_at = top, (int(np.argmax(gap)), stack.t)
+    run = _pair_run(problem, config, [(u0, u0), (v0, v0)])
+    if run["data_diff"] > 1e-12:
+        t = run["data_diff_t"]
+        raise PreconditionError(
+            f"{'boundary' if t else 'initial'} data are not ordered at t={t:.3g}: "
+            f"max(u - v) = {run['data_diff']:.3e} > 0")
+    worst, (node, t) = run["max_diff"], run["max_diff_at"]
     passed = worst <= 1e-12
-    detail = "" if passed else f"ordering violated at node {worst_at[0]}, t={worst_at[1]:.6g}"
     return ExperimentReport(
         name="comparison", inputs=_digest(problem, config),
-        measured=[("max_u_minus_v", worst)], bound=1e-12,
-        passed=passed, detail=detail)
+        measured=[("max_u_minus_v", worst)], bound=1e-12, passed=passed,
+        detail="" if passed else f"ordering violated at node {node}, t={t:.6g}")
 
 
 def boundary_stability_experiment(problem, config, g1, g2):
     """Two boundary data, one scheme: interior gap stays below the data gap,
     taken over every data value the march reads: the initial slice and the
     lateral nodes of every time level."""
-    data_gap = sol_gap = 0.0
-    for stack in _pair_march(problem, config, g1, g2):
-        gap = np.abs(stack.U[0] - stack.U[1])
-        read = gap[stack.scheme.lateral] if stack.steps else gap
-        data_gap = max(data_gap, float(read.max()))
-        sol_gap = max(sol_gap, float(gap.max()))
-    bound = data_gap + 1e-10
+    run = _pair_run(problem, config, [(g1, g1), (g2, g2)])
+    bound = run["data_gap"] + 1e-10
     return ExperimentReport(
         name="boundary_stability", inputs=_digest(problem, config),
-        measured=[("sup_solution_gap", sol_gap), ("sup_data_gap", data_gap)],
-        bound=bound, passed=sol_gap <= bound)
+        measured=[("sup_solution_gap", run["sol_gap"]), ("sup_data_gap", run["data_gap"])],
+        bound=bound, passed=run["sol_gap"] <= bound)
 
 
 def sup_bound_experiment(problem, config):
-    """Every time level stays inside the envelope of the boundary/initial data."""
-    grid = problem.grid
-    times = list(np.linspace(0.0, grid.horizon, 6)[1:])
-    result = solve_parabolic(problem, config, snapshot_times=times)
-    data_sup = max(abs(result.data_min), abs(result.data_max))
-    sol_sup = max(s.sup_norm() for s in result.snapshots)
-    bound = data_sup + 1e-12
+    """Every time level from t = 0 stays inside the envelope of the data the
+    march read, and every step inside its field's envelope."""
+    run = _pair_run(problem, config, [(problem.psi, problem.g)])
+    bound = run["sup_data"] + 1e-12
     return ExperimentReport(
         name="sup_bound", inputs=_digest(problem, config),
-        measured=[("sup_solution", sol_sup), ("sup_data", data_sup)],
-        bound=bound, passed=sol_sup <= bound and result.max_principle_ok)
+        measured=[("sup_solution", run["sup_solution"]), ("sup_data", run["sup_data"])],
+        bound=bound, passed=run["sup_solution"] <= bound and run["max_principle_ok"])
 
 
 def homogeneity_experiment(problem, config, k):
@@ -356,18 +362,6 @@ def jet_twist_oracle_check(G, n_points=8, rng=None):
 # -- registry ---------------------------------------------------------
 
 
-def _run_comparison(problem, config, rng):
-    offset = 0.5 + rng.random()
-    return comparison_experiment(problem, config, problem.psi,
-                                 problem.psi + offset)
-
-
-def _run_boundary_stability(problem, config, rng):
-    shift = 0.3 + 0.7 * rng.random()
-    return boundary_stability_experiment(problem, config, problem.g,
-                                         problem.g + shift)
-
-
 def _run_doubling(problem, config, rng):
     # Canonical 17x17 planar demonstration: the tau range is capped so the
     # optimal pair displacement stays grid-resolved (several spacings wide);
@@ -386,8 +380,10 @@ def _run_doubling(problem, config, rng):
 
 # name -> experiment(problem, config, rng), its settings drawn from the problem and rng
 EXPERIMENTS = {
-    "comparison": _run_comparison,
-    "boundary_stability": _run_boundary_stability,
+    "comparison": lambda problem, config, rng: comparison_experiment(
+        problem, config, problem.psi, problem.psi + (0.5 + rng.random())),
+    "boundary_stability": lambda problem, config, rng: boundary_stability_experiment(
+        problem, config, problem.g, problem.g + (0.3 + 0.7 * rng.random())),
     "sup_bound": lambda problem, config, rng: sup_bound_experiment(problem, config),
     "homogeneity": lambda problem, config, rng: homogeneity_experiment(problem, config, k=2.0),
     "long_time": lambda problem, config, rng: long_time_experiment(problem, config),

@@ -1,8 +1,10 @@
 """Acceptance gate: twelve verdict tests, one printed PASS/FAIL line each.
 
-Heavy marches are shared through session fixtures: the ordered-pair runs
-feed both the comparison and the stability/sup-bound criteria, and the
-long-time marches feed both the decay-rate and the steady-limit criteria.
+Heavy marches are shared through session fixtures: the ordered-pair runs,
+made by the pair run behind ``verify``'s comparison, boundary_stability and
+sup_bound experiments, feed both the comparison and the stability/sup-bound
+criteria, and the long-time marches feed both the decay-rate and the
+steady-limit criteria.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
@@ -13,6 +15,7 @@ import pytest
 
 from carnotpde.calculus import field_jet
 from carnotpde.experiments import (
+    _pair_run,
     commuting_diagram_experiment,
     h_limit_experiment,
     homogeneity_experiment,
@@ -31,12 +34,9 @@ from carnotpde.groups import (
 )
 from carnotpde.operators import infinity_laplacian
 from carnotpde.solver import (
-    Binding,
     CauchyDirichletProblem,
     Scheme,
     SolverConfig,
-    Stack,
-    march,
     solve_elliptic_steady,
     solve_to_steady,
 )
@@ -64,42 +64,20 @@ def _random_smooth_field(rng):
 
 @pytest.fixture(scope="session")
 def ordered_pair_runs():
-    """10 ordered data pairs on heisenberg1 33^3 for h in {1, 2, 3}.
-
-    Each pair is marched as one stack (a shared time step) on one stencil
-    geometry for all pairs, while tracking the signed ordering gap, the
-    absolute solution gap against the boundary-data gap, and the solution
-    sup against the sup of every data value the march read.
-    """
+    """10 ordered data pairs on heisenberg1 33^3 for h in {1, 2, 3}, each
+    marched by the pair run that ``verify``'s comparison, boundary-stability
+    and sup-bound experiments read, on one stencil geometry for all pairs."""
     rng = np.random.default_rng(20260826)
     grid = GridSpec(box=((-1, 1),) * 3, cells=(32, 32, 32), horizon=0.04)
-    G = heisenberg_group()
     config = SolverConfig(cfl_factor=1.0)
-    scheme = None
     runs = {1.0: [], 2.0: [], 3.0: []}
     t0 = time.perf_counter()
     for h in runs:
         for _ in range(10):
             u0 = _random_smooth_field(rng)
-            offset = float(rng.uniform(0.2, 1.0))
-            v0 = u0 + offset
-            if scheme is None:
-                scheme = Scheme(CauchyDirichletProblem(G, grid, h, u0, u0), config)
-            u = np.asarray(u0(scheme.coords, 0.0), dtype=float)
-            stack = Stack([Binding(scheme, u0, u0, h),
-                           Binding(scheme, v0, v0, h)], [u, u + offset])
-            U = stack.U
-            worst_order = float((U[0] - U[1]).max())
-            sol_gap = float(np.abs(U[0] - U[1]).max())
-            sup_sol = float(np.abs(U).max())
-            for _ in march(stack, config, [grid.horizon]):
-                worst_order = max(worst_order, float((U[0] - U[1]).max()))
-                sol_gap = max(sol_gap, float(np.abs(U[0] - U[1]).max()))
-                sup_sol = max(sup_sol, float(np.abs(U).max()))
-            sup_data = max(max(-f.data_min, f.data_max) for f in stack.fields)
-            runs[h].append({"worst_order": worst_order, "sol_gap": sol_gap,
-                            "data_gap": offset, "sup_sol": sup_sol,
-                            "sup_data": sup_data})
+            v0 = u0 + float(rng.uniform(0.2, 1.0))
+            problem = CauchyDirichletProblem(heisenberg_group(), grid, h, u0, u0)
+            runs[h].append(_pair_run(problem, config, [(u0, u0), (v0, v0)]))
     return runs, time.perf_counter() - t0
 
 
@@ -173,7 +151,7 @@ def test_criterion_02_jet_twist_oracle():
 @pytest.mark.slow
 def test_criterion_03_discrete_comparison(ordered_pair_runs):
     runs, elapsed = ordered_pair_runs
-    worst = max(r["worst_order"] for rs in runs.values() for r in rs)
+    worst = max(r["max_diff"] for rs in runs.values() for r in rs)
     verdict(3, "ordered pairs stay ordered at every step (h = 1, 2, 3)",
             worst <= 1e-12 and elapsed < 180.0,
             f"max(u - v) = {worst:.2e}, {elapsed:.1f}s for 30 pair runs")
@@ -184,7 +162,7 @@ def test_criterion_04_boundary_stability_and_sup_bound(ordered_pair_runs):
     runs, _ = ordered_pair_runs
     stable = all(r["sol_gap"] <= r["data_gap"] + 1e-10
                  for rs in runs.values() for r in rs)
-    bounded = all(r["sup_sol"] <= r["sup_data"] + 1e-12
+    bounded = all(r["sup_solution"] <= r["sup_data"] + 1e-12 and r["max_principle_ok"]
                   for rs in runs.values() for r in rs)
     slack = max(r["sol_gap"] - r["data_gap"] for rs in runs.values() for r in rs)
     verdict(4, "solution gap bounded by data gap; sup bounded by data sup",

@@ -1,9 +1,13 @@
 """Experiment harness: registry coverage, report plumbing, preconditions."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_groups import graded_tables
 
 from carnotpde import calculus, experiments, groups
 from carnotpde.calculus import PenaltySpec
@@ -19,11 +23,12 @@ from carnotpde.experiments import (
     jet_twist_oracle_check,
     long_time_experiment,
     run_experiment,
+    sup_bound_experiment,
 )
 from carnotpde.fields import ScalarField
 from carnotpde.grid import GridFunction, GridSpec
 from carnotpde.groups import engel_group, euclidean_group, heisenberg_group
-from carnotpde.solver import CauchyDirichletProblem, SolverConfig
+from carnotpde.solver import CauchyDirichletProblem, Scheme, SolverConfig, Stack, march
 
 
 @pytest.fixture
@@ -194,6 +199,84 @@ def test_boundary_stability_data_gap_covers_the_datum_it_reads():
     assert np.abs(g1(coords, 0.0) - g2(coords, 0.0)).max() <= 1e-12
     assert measured["sup_solution_gap"] == measured["sup_data_gap"] == 0.0
     assert report.passed
+
+
+HAT = "max(0, 1 - 32*abs(x1 - 0.5))"     # 1 at the middle node of 33, 0 at the others
+
+
+@pytest.mark.parametrize("expr,h,horizon,config", [
+    # the lateral datum peaks at 2 for |t - 0.15| < 0.01, between the snapshot
+    # times 0.1 and 0.2 that a five-snapshot read would see
+    ("x1 + 10000*max(0, 0.0001 - (t - 0.15)**2)", 2.0, 0.5, SolverConfig()),
+    # the sup, 1, is held at t = 0 only
+    (HAT, 1.0, 0.01, SolverConfig(cfl_factor=1.0)),
+])
+def test_sup_bound_reads_every_level_from_t0(expr, h, horizon, config):
+    f = ScalarField.from_expression(expr, 1)
+    grid = GridSpec(box=((0, 1),), cells=(32,), horizon=horizon)
+    problem = CauchyDirichletProblem(euclidean_group(1), grid, h, f, f)
+    stack = Stack.of(Scheme(problem, config), problem)
+    direct = max(float(np.abs(stack.U).max()) for _ in itertools.chain(
+        [stack], march(stack, config, [horizon])))
+    report = sup_bound_experiment(problem, config)
+    assert [label for label, _ in report.measured] == ["sup_solution", "sup_data"]
+    assert dict(report.measured)["sup_solution"] == direct > 0.99
+    assert report.passed
+
+
+@pytest.mark.parametrize("step_factor", [1.0, 1.2])
+def test_pair_experiments_fail_on_a_step_above_the_cfl_bound(monkeypatch, step_factor):
+    # SolverConfig refuses cfl_factor > 1, so the defect is planted in the
+    # step discrete_operator returns: at 1.2 the hat oscillates and grows
+    operator = Scheme.discrete_operator
+
+    def planted(self, u, h, cfl_factor=1.0):
+        op, dt = operator(self, u, h, cfl_factor)
+        return op, step_factor * dt
+
+    monkeypatch.setattr(Scheme, "discrete_operator", planted)
+    hat = ScalarField.from_expression(HAT, 1)
+    zero = ScalarField.from_expression("0", 1)
+    grid = GridSpec(box=((0, 1),), cells=(32,), horizon=0.01)
+    problem = CauchyDirichletProblem(euclidean_group(1), grid, 1.0, hat, hat)
+    config = SolverConfig(cfl_factor=1.0)
+    reports = [comparison_experiment(problem, config, hat * -1.0, zero),
+               boundary_stability_experiment(problem, config, zero, hat),
+               sup_bound_experiment(problem, config)]
+    assert [r.passed for r in reports] == [step_factor == 1.0] * 3
+    if step_factor != 1.0:
+        assert dict(reports[0].measured)["max_u_minus_v"] > 10.0
+        assert dict(reports[1].measured)["sup_solution_gap"] > 10.0
+        assert dict(reports[2].measured)["sup_solution"] > 10.0
+    assert dict(reports[1].measured)["sup_data_gap"] == dict(reports[2].measured)["sup_data"] == 1.0
+
+
+@given(graded_tables(), st.floats(0.2, 1.0), st.floats(-1.0, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_pair_run_identities_on_random_graded_tables(G, c, a):
+    # at most 4^6 nodes; a horizon of about 4 steps at h = 1
+    dim = G.total_dim
+    nodes = next(n for n in range(64, 1, -1) if n ** dim <= 4 ** 6)
+    delta = 2.0 / (nodes - 1)
+    grid = GridSpec(box=((-1, 1),) * dim, cells=(nodes - 1,) * dim, horizon=2.0 * delta ** 2)
+    # a smooth field plus a spike at one interior node, so a step that is
+    # not monotone leaves the data's envelope
+    spike = " + ".join(f"abs(x{i + 1} + {1.0 - delta})" for i in range(dim))
+    u0 = ScalarField.from_expression(
+        f"x1 + 0.5*x2 - 0.2*x1*x2 + 0.3*x{dim} + max(0, 1 - ({spike})/{delta})", dim)
+    v0 = u0 + ScalarField.from_expression(f"{c}*(1 + 0.5*{a}*x1/(1 + x1*x1))", dim)
+    config = SolverConfig(cfl_factor=1.0)
+    # comparison and boundary stability: the gap is smooth, positive and not
+    # constant, so it moves under the flow
+    run = experiments._pair_run(
+        CauchyDirichletProblem(G, grid, 1.0, u0, u0), config, [(u0, u0), (v0, v0)])
+    assert run["max_diff"] <= 1e-12
+    assert run["sol_gap"] <= run["data_gap"] + 1e-10
+    for h in (1.0, 2.0, 3.0):
+        run = experiments._pair_run(CauchyDirichletProblem(G, grid, h, u0, u0), config,
+                                    [(u0, u0)])
+        assert run["sup_solution"] <= run["sup_data"] + 1e-12
+        assert run["max_principle_ok"]
 
 
 def test_homogeneity_requires_h_above_one(line_problem):
